@@ -15,9 +15,9 @@ from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        scw_asymptotic, scw_trig, sn_trig, spectrum,
                        sw_asymptotic, sw_trig)
 from .transfer import (divisors, matrix_power, matrix_power_apply,
-                       necklace_exact, scw_exact, scw_pair_exact, sw_exact,
-                       sw_prefix_exact, totient, transfer_matrix,
-                       usmani_inverse_entry)
+                       necklace_exact, necklace_row, scw_exact,
+                       scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
+                       sw_row, totient, transfer_matrix, usmani_inverse_entry)
 from .words import (canonical_rotation, count_cyclic_bf, count_necklaces_bf,
                     count_smooth_bf, is_smooth, is_smooth_cyclic)
 
@@ -30,7 +30,8 @@ __all__ = [
     "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf",
     "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
-    "necklace_exact", "totient", "divisors", "usmani_inverse_entry",
+    "necklace_exact", "sw_row", "scw_row", "necklace_row",
+    "totient", "divisors", "usmani_inverse_entry",
     "sw_gf", "scw_gf", "sw_prefix_gf", "series_coeffs", "series_equal",
     "spectrum", "sw_trig", "scw_trig", "sn_trig", "residues",
     "round_validated", "in_validated_window",

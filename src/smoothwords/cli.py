@@ -45,6 +45,14 @@ def _exact_count(family: str, n: int, k: int) -> int:
     return transfer.necklace_exact(n, k)
 
 
+def _exact_row(family: str, k: int, n_max: int) -> list[int]:
+    if family == "sw":
+        return transfer.sw_row(k, n_max)
+    if family == "scw":
+        return transfer.scw_row(k, n_max)
+    return transfer.necklace_row(k, n_max)
+
+
 def _bruteforce_count(family: str, n: int, k: int) -> int:
     if family == "sw":
         return words.count_smooth_bf(n, k)
@@ -126,8 +134,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []  # (family, k, counts for n = 0..n_max)
     for k in range(k_min, k_max + 1):
         for fam in families:
-            rows.append((fam, k, [_exact_count(fam, n, k)
-                                  for n in range(n_max + 1)]))
+            rows.append((fam, k, _exact_row(fam, k, n_max)))
 
     ns = list(range(n_max + 1))
     if fmt == "md":
@@ -184,9 +191,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for k in range(1, k_max + 1):
         series = {"sw": genfunc.series_coeffs(genfunc.sw_gf(k), n_max),
                   "scw": genfunc.series_coeffs(genfunc.scw_gf(k), n_max)}
+        exact = {family: _exact_row(family, k, n_max)
+                 for family in ("sw", "scw", "sn")}
         for n in range(n_max + 1):
             for family in ("sw", "scw", "sn"):
-                want = _exact_count(family, n, k)
+                want = exact[family][n]
                 if family != "sn":
                     compare(family, n, k, "gf", series[family][n], want)
                 if _bruteforce_admits(n, k):
@@ -288,6 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Counts can run to tens of thousands of digits; lift the interpreter's
+    # int-to-str guard (absent before Python 3.10.7) so they print in full.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

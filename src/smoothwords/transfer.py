@@ -5,20 +5,26 @@ are smooth words and closed walks are smooth cyclic words.  Everything is
 computed over Python's arbitrary-precision integers, so results are exact
 at any length.
 
-Two query pipelines, per their cost profiles:
+Three query pipelines, per their cost profiles:
 
 * row-sum queries (all smooth words, or refined by first letter) iterate
   the tridiagonal matrix-vector step, O(n k) big-integer additions;
 * trace and single-entry queries (cyclic words, endpoint-refined counts)
   use binary exponentiation of the full matrix, exploiting that powers of
-  the symmetric M are symmetric.
+  the symmetric M are symmetric;
+* whole rows (every length n = 0..n_max at one k, as ``table`` and
+  ``check`` print them) record each step of one walk instead of starting
+  over per length: O(n_max k) for smooth words, O(n_max k^2 / 2) for
+  cyclic words and necklaces.
 
 Necklace counts average the cyclic counts over rotations with Euler's
 totient; the division is checked exact, since anything else is a bug.
 """
 from __future__ import annotations
 
-from operator import mul
+from collections.abc import Callable, Iterator
+from itertools import islice
+from operator import add, mul
 
 from .chebyshev import theta_poly
 from .genfunc import RationalSeries
@@ -45,11 +51,15 @@ def matrix_power_apply(k: int, n: int, v: list[int]) -> list[int]:
         raise ValueError(f"matrix power must be nonnegative, got {n}")
     if len(v) != k:
         raise ValueError(f"vector length {len(v)} does not match k={k}")
-    w = list(v)
-    for _ in range(n):
-        w = [(w[i - 1] if i else 0) + w[i] + (w[i + 1] if i + 1 < k else 0)
-             for i in range(k)]
-    return w
+    return next(islice(_walk(list(v)), n, None))
+
+
+def _walk(w: list[int]) -> Iterator[list[int]]:
+    """Yield w, M w, M^2 w, ... for the tridiagonal M of size len(w)."""
+    while True:
+        yield w
+        padded = [0, *w, 0]
+        w = list(map(add, map(add, padded, w), padded[2:]))
 
 
 def _mul_sym(a: Matrix, b: Matrix, k: int) -> Matrix:
@@ -159,18 +169,66 @@ def totient(m: int) -> int:
     return result
 
 
+def _burnside(n: int, cyclic: Callable[[int], int]) -> int:
+    """Necklaces of length n from the cyclic-word counts ``cyclic(m)``:
+    the rotation average (1/n) sum_{d|n} phi(d) cyclic(n/d); n = 0 counts
+    the empty necklace."""
+    if n == 0:
+        return 1
+    total = sum(totient(d) * cyclic(n // d) for d in divisors(n))
+    if total % n:
+        raise AssertionError(
+            f"rotation-average sum {total} not divisible by {n}; counting bug")
+    return total // n
+
+
 def necklace_exact(n: int, k: int) -> int:
     """Number of smooth necklaces in [k]^n: the rotation average
     (1/n) sum_{d|n} phi(d) scw(n/d, k); n = 0 counts the empty necklace."""
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
-    if n == 0:
-        return 1
-    total = sum(totient(d) * scw_exact(n // d, k) for d in divisors(n))
-    if total % n:
-        raise AssertionError(
-            f"rotation-average sum {total} not divisible by {n}; counting bug")
-    return total // n
+    return _burnside(n, lambda m: scw_exact(m, k))
+
+
+def _check_row_args(k: int, n_max: int) -> None:
+    for name, value, low in (("alphabet size", k, 1), ("n_max", n_max, 0)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def sw_row(k: int, n_max: int) -> list[int]:
+    """Smooth-word counts in [k]^n for n = 0..n_max, from one walk of the
+    all-ones vector: entry n is 1^T M^(n-1) 1.  O(n_max k) additions."""
+    _check_row_args(k, n_max)
+    return [1] + [sum(w) for w in islice(_walk([1] * k), n_max)]
+
+
+def scw_row(k: int, n_max: int) -> list[int]:
+    """Smooth cyclic-word counts in [k]^n for n = 0..n_max: entry n >= 1 is
+    the trace of M^n, entry 0 is 1 (the empty word).
+
+    Diagonal entry i of M^n is coordinate i of the walk of the basis vector
+    e_i.  Reversing the alphabet (i <-> k+1-i) is a symmetry of M, so
+    letters i and k+1-i share their diagonal entries and only ceil(k/2)
+    walks are needed.  O(n_max k^2 / 2) additions.
+    """
+    _check_row_args(k, n_max)
+    row = [1] + [0] * n_max
+    for i in range((k + 1) // 2):
+        weight = 1 if 2 * i + 1 == k else 2
+        basis = [int(j == i) for j in range(k)]
+        for n, w in enumerate(islice(_walk(basis), 1, n_max + 1), 1):
+            row[n] += weight * w[i]
+    return row
+
+
+def necklace_row(k: int, n_max: int) -> list[int]:
+    """Smooth-necklace counts in [k]^n for n = 0..n_max, by the rotation
+    average of one `scw_row`."""
+    cyclic = scw_row(k, n_max)
+    return [_burnside(n, cyclic.__getitem__) for n in range(n_max + 1)]
 
 
 def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:

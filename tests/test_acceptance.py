@@ -2,10 +2,10 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Known red: the proportion-convergence gate at n = 30 fails for k = 7 and
-k = 8.  The finite-n deviation from the limit is governed by
-(lambda_2/lambda_1)^30, which is ~7.0e-3 for k = 7 and ~2.1e-2 for k = 8,
-both above the 1e-3 gate; the criterion holds only for k <= 6.  The
-checks are kept as stated rather than loosened.
+k = 8.  The finite-n deviation from the limit decays like
+(lambda_2/lambda_1)^n; at n = 30 it measures 3.18e-3 for k = 7 and
+8.53e-3 for k = 8, both above the 1e-3 gate; the criterion holds only for
+k <= 6.  The checks are kept as stated rather than loosened.
 """
 import math
 import random

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothwords import cli, words
+from smoothwords import cli, transfer, words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +37,16 @@ class TestCount:
         assert code == 0
         assert out.strip().isdigit()
         assert len(out.strip()) > 70  # far beyond 64-bit range, no sci notation
+
+    def test_count_beyond_int_str_limit_prints_every_digit(self, capsys):
+        # sw(12000, 3) has 4594 digits, past the 4300-digit int-to-str
+        # limit that Python 3.10.7+ applies by default.
+        code, out, _ = run_cli(capsys, "count", "sw", "--n", "12000",
+                               "--k", "3")
+        assert code == 0
+        digits = out.strip()
+        assert digits.isdigit() and len(digits) > 4300
+        assert int(digits) == transfer.sw_exact(12000, 3)
 
     def test_bruteforce_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "sw", "--n", "25", "--k", "3",

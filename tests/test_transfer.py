@@ -5,8 +5,9 @@ import pytest
 
 from smoothwords.chebyshev import eval_poly
 from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
-                                  necklace_exact, scw_exact, scw_pair_exact,
-                                  sw_exact, sw_prefix_exact, totient,
+                                  necklace_exact, necklace_row, scw_exact,
+                                  scw_pair_exact, scw_row, sw_exact,
+                                  sw_prefix_exact, sw_row, totient,
                                   transfer_matrix, usmani_inverse_entry)
 from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
                                count_smooth_bf)
@@ -149,6 +150,36 @@ class TestOracleAgreement:
                         want = sum(column[ip - 1] for ip in (i - 1, i, i + 1)
                                    if 1 <= ip <= k)
                         assert scw_pair_exact(i, j, n, k) == want
+
+
+class TestRows:
+    ROWS = ((sw_row, sw_exact), (scw_row, scw_exact),
+            (necklace_row, necklace_exact))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rows_match_per_cell_counts(self, k):
+        # Entry 0 of every row is 1, the empty word; for scw it is not the
+        # trace of M^0 = I, which would be k.
+        for row, cell in self.ROWS:
+            full = row(k, 40)
+            assert full == [cell(n, k) for n in range(41)]
+            for n_max in (0, 1, 2, 7):
+                assert row(k, n_max) == full[:n_max + 1]
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_rows_match_bruteforce(self, k):
+        assert sw_row(k, 9) == [count_smooth_bf(n, k) for n in range(10)]
+        assert scw_row(k, 9) == [count_cyclic_bf(n, k) for n in range(10)]
+        assert necklace_row(k, 9) == \
+            [count_necklaces_bf(n, k) for n in range(10)]
+
+    @pytest.mark.parametrize("k, n_max", [(3, -1), (3, True), (3, False),
+                                          (3, 2.0), (3, "4"), (0, 5),
+                                          (-2, 5), (True, 5)])
+    def test_rows_reject_bad_input(self, k, n_max):
+        for row, _ in self.ROWS:
+            with pytest.raises(ValueError):
+                row(k, n_max)
 
 
 class TestNumberTheory:
