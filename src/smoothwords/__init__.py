@@ -18,8 +18,9 @@ from .transfer import (divisors, matrix_power, matrix_power_apply,
                        necklace_exact, necklace_row, scw_exact,
                        scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
                        sw_row, totient, transfer_matrix, usmani_inverse_entry)
-from .words import (canonical_rotation, count_cyclic_bf, count_necklaces_bf,
-                    count_smooth_bf, is_smooth, is_smooth_cyclic)
+from .words import (admits, canonical_rotation, count_cyclic_bf,
+                    count_necklaces_bf, count_smooth_bf, is_smooth,
+                    is_smooth_cyclic)
 
 __version__ = "0.1.0"
 
@@ -27,7 +28,7 @@ __all__ = [
     "Poly", "RationalSeries", "Spectrum", "PrecisionExhausted",
     "u_poly", "t_poly", "theta_poly", "eval_poly", "u_zeros",
     "is_smooth", "is_smooth_cyclic", "canonical_rotation",
-    "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf",
+    "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf", "admits",
     "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",

@@ -21,6 +21,8 @@ import functools
 import itertools
 import math
 
+from ._args import check_int
+
 
 @dataclasses.dataclass(frozen=True)
 class Poly:
@@ -58,8 +60,7 @@ class Poly:
 
     def shift(self, m: int) -> Poly:
         """Multiply by x^m."""
-        if m < 0:
-            raise ValueError("shift exponent must be nonnegative")
+        check_int("shift exponent", m, 0)
         if not self.coeffs:
             return self
         return Poly(*((0,) * m + self.coeffs))
@@ -73,9 +74,6 @@ class Poly:
 
     def __sub__(self, other: int | Poly) -> Poly:
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other: int | Poly) -> Poly:
-        return _as_poly(other) + (-self)
 
     def __neg__(self) -> Poly:
         return Poly(*(-c for c in self.coeffs))
@@ -92,8 +90,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        check_int("polynomial power", n, 0)
         result = Poly(1)
         base = self
         while n:
@@ -123,7 +120,8 @@ def eval_poly(p: Poly, x):
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+# typed: u_poly(True) and u_poly(2.0) must reach check_int, not the cache.
+@functools.lru_cache(maxsize=None, typed=True)
 def u_poly(r: int) -> Poly:
     """Chebyshev polynomial of the second kind, U_r.
 
@@ -134,8 +132,7 @@ def u_poly(r: int) -> Poly:
     >>> u_poly(2)
     Poly(-1, 0, 4)
     """
-    if r < -2:
-        raise ValueError(f"u_poly index must be >= -2, got {r}")
+    check_int("u_poly index", r, -2)
     if r == -2:
         return Poly(-1)
     prev, cur = Poly(-1), Poly()  # U_{-2}, U_{-1}
@@ -144,21 +141,20 @@ def u_poly(r: int) -> Poly:
     return cur
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def t_poly(r: int) -> Poly:
     """Chebyshev polynomial of the first kind, T_r = (U_r - U_{r-2})/2.
 
     >>> t_poly(2)
     Poly(-1, 0, 2)
     """
-    if r < 0:
-        raise ValueError(f"t_poly index must be >= 0, got {r}")
+    check_int("t_poly index", r, 0)
     diff = u_poly(r) - u_poly(r - 2)
     # U_r - U_{r-2} = 2 T_r always has even coefficients.
     return Poly(*(c // 2 for c in diff.coeffs))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def theta_poly(i: int) -> Poly:
     """theta_i(x), with theta_0 = 1, theta_1 = 1 - x and
     theta_i = (1 - x) theta_{i-1} - x^2 theta_{i-2}.
@@ -168,8 +164,7 @@ def theta_poly(i: int) -> Poly:
     >>> theta_poly(2)
     Poly(1, -2)
     """
-    if i < 0:
-        raise ValueError(f"theta_poly index must be >= 0, got {i}")
+    check_int("theta_poly index", i, 0)
     prev, cur = Poly(1), Poly(1, -1)
     if i == 0:
         return prev
@@ -186,6 +181,5 @@ def u_zeros(m: int) -> list[float]:
     >>> u_zeros(2)
     [0.5000000000000001, -0.4999999999999998]
     """
-    if m < 1:
-        raise ValueError(f"u_zeros needs m >= 1, got {m}")
+    check_int("u_zeros degree", m, 1)
     return [math.cos(j * math.pi / (m + 1)) for j in range(1, m + 1)]

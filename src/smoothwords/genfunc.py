@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ._args import check_int
 from .chebyshev import Poly, theta_poly
 
 _ONE_MINUS_3X = Poly(1, -3)
@@ -106,8 +107,7 @@ def poly_str(p: Poly) -> str:
 
 def sw_gf(k: int) -> RationalSeries:
     """Generating function whose x^n coefficient counts smooth words in [k]^n."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     th_k = theta_poly(k)
     th_km1 = theta_poly(k - 1)
     sq = _ONE_MINUS_3X * _ONE_MINUS_3X
@@ -118,8 +118,7 @@ def sw_gf(k: int) -> RationalSeries:
 
 def scw_gf(k: int) -> RationalSeries:
     """Generating function whose x^n coefficient counts smooth cyclic words."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     th_k = theta_poly(k)
     th_km1 = theta_poly(k - 1)
     lead = _ONE_PLUS_X * _ONE_MINUS_3X
@@ -134,8 +133,8 @@ def sw_prefix_gf(i: int, k: int) -> RationalSeries:
     Constant term 0; the x^n coefficient (n >= 1) counts length-n smooth
     words whose first letter is ``i``.
     """
-    if not 1 <= i <= k:
-        raise ValueError(f"first letter {i} outside alphabet 1..{k}")
+    check_int("alphabet size", k, 1)
+    check_int("first letter", i, 1, k)
     th_k = theta_poly(k)
     num = (th_k - theta_poly(k - i).shift(i)
            - theta_poly(i - 1).shift(k - i + 1)).shift(1)
@@ -148,8 +147,7 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     >>> series_coeffs(RationalSeries(Poly(1), Poly(1, -3)), 4)
     [1, 3, 9, 27, 81]
     """
-    if n_max < 0:
-        raise ValueError(f"coefficient count must be nonnegative, got {n_max}")
+    check_int("n_max", n_max, 0)
     num = rs.num.coeffs
     den = rs.den.coeffs
     out: list[int] = []

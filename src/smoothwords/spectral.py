@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from ._args import check_int
 from .transfer import divisors, totient
 
 # Largest (n, k) for which double-precision eigenvalue sums round reliably.
@@ -45,8 +46,7 @@ class Spectrum:
 
 
 def spectrum(k: int) -> Spectrum:
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     # Angles are computed directly from j, not by accumulation.
     angles = tuple(j * math.pi / (k + 1) for j in range(1, k + 1))
     eigenvalues = tuple(1.0 + 2.0 * math.cos(a) for a in angles)
@@ -58,8 +58,7 @@ def sw_trig(n: int, k: int) -> float:
     """Smooth-word count as a trigonometric sum (odd-index form):
     (2/(k+1)) sum over odd j of cot^2(j pi/(2(k+1))) (1+2cos(j pi/(k+1)))^(n-1).
     """
-    if n < 1:
-        raise ValueError(f"closed form defined for length >= 1, got {n}")
+    check_int("word length", n, 1)
     sp = spectrum(k)
     total = 0.0
     for idx in range(0, k, 2):  # j = 1, 3, 5, ...
@@ -70,23 +69,20 @@ def sw_trig(n: int, k: int) -> float:
 def scw_trig(n: int, k: int) -> float:
     """Smooth-cyclic count as the eigenvalue power sum
     sum_j (1+2cos(j pi/(k+1)))^n."""
-    if n < 1:
-        raise ValueError(f"closed form defined for length >= 1, got {n}")
+    check_int("word length", n, 1)
     return sum(lam ** n for lam in spectrum(k).eigenvalues)
 
 
 def sn_trig(n: int, k: int) -> float:
     """Smooth-necklace count as the rotation average of `scw_trig`."""
-    if n < 1:
-        raise ValueError(f"closed form defined for length >= 1, got {n}")
+    check_int("word length", n, 1)
     return sum(totient(d) * scw_trig(n // d, k) for d in divisors(n)) / n
 
 
 def residues(m: int) -> list[float]:
     """Residues of 1/U_m at its zeros cos(j pi/(m+1)):
     (-1)^(j+1) sin^2(j pi/(m+1)) / (m+1), j = 1..m."""
-    if m < 1:
-        raise ValueError(f"residues need m >= 1, got {m}")
+    check_int("residues degree", m, 1)
     return [(-1) ** (j + 1) * math.sin(j * math.pi / (m + 1)) ** 2 / (m + 1)
             for j in range(1, m + 1)]
 
@@ -105,24 +101,21 @@ def round_validated(x: float, budget: float) -> int:
 def sw_asymptotic(n: int, k: int) -> float:
     """Leading term of the smooth-word count:
     (2/(k+1)) cot^2(pi/(2(k+1))) lambda_1^(n-1)."""
-    if n < 1:
-        raise ValueError(f"asymptotic form defined for length >= 1, got {n}")
+    check_int("word length", n, 1)
     sp = spectrum(k)
     return 2.0 / (k + 1) * sp.cot2_weights[0] * sp.eigenvalues[0] ** (n - 1)
 
 
 def scw_asymptotic(n: int, k: int) -> float:
     """Leading term of the smooth-cyclic count: lambda_1^n."""
-    if n < 1:
-        raise ValueError(f"asymptotic form defined for length >= 1, got {n}")
+    check_int("word length", n, 1)
     return spectrum(k).eigenvalues[0] ** n
 
 
 def cyclic_proportion_limit(k: int) -> float:
     """Limit of (smooth cyclic)/(smooth) in [k]^n as n grows:
     (1/2)(k+1)(2cos(pi/(k+1)) + 1) tan^2(pi/(2(k+1)))."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     half_angle = math.pi / (2 * (k + 1))
     return 0.5 * (k + 1) * (2.0 * math.cos(2 * half_angle) + 1.0) \
         * math.tan(half_angle) ** 2

@@ -26,6 +26,7 @@ from collections.abc import Callable, Iterator
 from itertools import islice
 from operator import add, mul
 
+from ._args import check_int
 from .chebyshev import theta_poly
 from .genfunc import RationalSeries
 
@@ -34,8 +35,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def transfer_matrix(k: int) -> Matrix:
     """The k x k adjacency matrix of the smoothness step relation."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     return tuple(tuple(1 if abs(i - j) <= 1 else 0 for j in range(k))
                  for i in range(k))
 
@@ -45,10 +45,8 @@ def matrix_power_apply(k: int, n: int, v: list[int]) -> list[int]:
 
     Uses the tridiagonal structure, so each step is O(k) additions.
     """
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
-    if n < 0:
-        raise ValueError(f"matrix power must be nonnegative, got {n}")
+    check_int("alphabet size", k, 1)
+    check_int("matrix power", n, 0)
     if len(v) != k:
         raise ValueError(f"vector length {len(v)} does not match k={k}")
     return next(islice(_walk(list(v)), n, None))
@@ -77,8 +75,7 @@ def _mul_sym(a: Matrix, b: Matrix, k: int) -> Matrix:
 
 def matrix_power(k: int, n: int) -> Matrix:
     """M^n by binary exponentiation, exactly."""
-    if n < 0:
-        raise ValueError(f"matrix power must be nonnegative, got {n}")
+    check_int("matrix power", n, 0)
     result = None
     base = transfer_matrix(k)
     while n:
@@ -94,8 +91,8 @@ def matrix_power(k: int, n: int) -> Matrix:
 
 def sw_exact(n: int, k: int) -> int:
     """Number of smooth words in [k]^n (1^T M^(n-1) 1 for n >= 1)."""
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
+    check_int("word length", n, 0)
+    check_int("alphabet size", k, 1)
     if n == 0:
         return 1
     return sum(matrix_power_apply(k, n - 1, [1] * k))
@@ -103,19 +100,16 @@ def sw_exact(n: int, k: int) -> int:
 
 def sw_prefix_exact(i: int, n: int, k: int) -> int:
     """Number of smooth words in [k]^n whose first letter is ``i``."""
-    if not 1 <= i <= k:
-        raise ValueError(f"first letter {i} outside alphabet 1..{k}")
-    if n < 1:
-        raise ValueError(f"prefix counts need length >= 1, got {n}")
+    check_int("alphabet size", k, 1)
+    check_int("first letter", i, 1, k)
+    check_int("word length", n, 1)
     return matrix_power_apply(k, n - 1, [1] * k)[i - 1]
 
 
 def scw_exact(n: int, k: int) -> int:
     """Number of smooth cyclic words in [k]^n (trace of M^n for n >= 1)."""
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("word length", n, 0)
+    check_int("alphabet size", k, 1)
     if n == 0:
         return 1
     p = matrix_power(k, n)
@@ -125,12 +119,10 @@ def scw_exact(n: int, k: int) -> int:
 def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
     """Number of smooth cyclic words in [k]^n with first letter ``i`` and
     last letter ``j``; zero unless |i - j| <= 1."""
-    if not 1 <= i <= k:
-        raise ValueError(f"first letter {i} outside alphabet 1..{k}")
-    if not 1 <= j <= k:
-        raise ValueError(f"last letter {j} outside alphabet 1..{k}")
-    if n < 2:
-        raise ValueError(f"endpoint-refined counts need length >= 2, got {n}")
+    check_int("alphabet size", k, 1)
+    check_int("first letter", i, 1, k)
+    check_int("last letter", j, 1, k)
+    check_int("word length", n, 2)
     if abs(i - j) > 1:
         return 0
     return matrix_power(k, n - 1)[i - 1][j - 1]
@@ -138,8 +130,7 @@ def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
 
 def divisors(m: int) -> list[int]:
     """Sorted positive divisors of ``m``."""
-    if m < 1:
-        raise ValueError(f"divisors need a positive integer, got {m}")
+    check_int("divisors argument", m, 1)
     small, large = [], []
     d = 1
     while d * d <= m:
@@ -153,8 +144,7 @@ def divisors(m: int) -> list[int]:
 
 def totient(m: int) -> int:
     """Euler's totient of ``m``, by trial-division factorization."""
-    if m < 1:
-        raise ValueError(f"totient needs a positive integer, got {m}")
+    check_int("totient argument", m, 1)
     result = m
     rest = m
     p = 2
@@ -185,23 +175,16 @@ def _burnside(n: int, cyclic: Callable[[int], int]) -> int:
 def necklace_exact(n: int, k: int) -> int:
     """Number of smooth necklaces in [k]^n: the rotation average
     (1/n) sum_{d|n} phi(d) scw(n/d, k); n = 0 counts the empty necklace."""
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
+    check_int("word length", n, 0)
+    check_int("alphabet size", k, 1)
     return _burnside(n, lambda m: scw_exact(m, k))
-
-
-def _check_row_args(k: int, n_max: int) -> None:
-    for name, value, low in (("alphabet size", k, 1), ("n_max", n_max, 0)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def sw_row(k: int, n_max: int) -> list[int]:
     """Smooth-word counts in [k]^n for n = 0..n_max, from one walk of the
     all-ones vector: entry n is 1^T M^(n-1) 1.  O(n_max k) additions."""
-    _check_row_args(k, n_max)
+    check_int("alphabet size", k, 1)
+    check_int("n_max", n_max, 0)
     return [1] + [sum(w) for w in islice(_walk([1] * k), n_max)]
 
 
@@ -214,7 +197,8 @@ def scw_row(k: int, n_max: int) -> list[int]:
     letters i and k+1-i share their diagonal entries and only ceil(k/2)
     walks are needed.  O(n_max k^2 / 2) additions.
     """
-    _check_row_args(k, n_max)
+    check_int("alphabet size", k, 1)
+    check_int("n_max", n_max, 0)
     row = [1] + [0] * n_max
     for i in range((k + 1) // 2):
         weight = 1 if 2 * i + 1 == k else 2
@@ -234,10 +218,9 @@ def necklace_row(k: int, n_max: int) -> list[int]:
 def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:
     """Entry (i, j) of the inverse of A = I - xM, as a ratio of integer
     polynomials: x^|j-i| theta_{min-1} theta_{k-max} / theta_k."""
-    if not 1 <= i <= k:
-        raise ValueError(f"row index {i} outside 1..{k}")
-    if not 1 <= j <= k:
-        raise ValueError(f"column index {j} outside 1..{k}")
+    check_int("alphabet size", k, 1)
+    check_int("row index", i, 1, k)
+    check_int("column index", j, 1, k)
     lo, hi = min(i, j), max(i, j)
     num = (theta_poly(lo - 1) * theta_poly(k - hi)).shift(hi - lo)
     return RationalSeries(num, theta_poly(k))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ._args import check_int
+
 Word = tuple[int, ...]
 
 # DFS visits at most k * 3^(n-1) words; refuse anything past this.
@@ -21,21 +23,22 @@ ENUMERATION_LIMIT = 10**8
 
 
 def _validate_word(word: Sequence[int], k: int) -> Word:
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     w = tuple(word)
     for letter in w:
-        if not 1 <= letter <= k:
-            raise ValueError(f"letter {letter} outside alphabet 1..{k}")
+        check_int("letter", letter, 1, k)
     return w
 
 
+def admits(n: int, k: int) -> bool:
+    """True iff brute force accepts [k]^n: k * 3^(n-1) <= `ENUMERATION_LIMIT`."""
+    check_int("word length", n, 0)
+    check_int("alphabet size", k, 1)
+    return n == 0 or k * 3 ** (n - 1) <= ENUMERATION_LIMIT
+
+
 def _validate_instance(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"alphabet size must be positive, got {k}")
-    if n >= 1 and k * 3 ** (n - 1) > ENUMERATION_LIMIT:
+    if not admits(n, k):
         raise ValueError(
             f"instance too large to enumerate: k*3^(n-1) exceeds {ENUMERATION_LIMIT}")
 

@@ -219,6 +219,14 @@ class TestAsymptotics:
     def test_length_required_for_word_families(self, capsys):
         assert run_cli(capsys, "asymptotics", "sw", "--k", "3")[0] == 2
 
+    @pytest.mark.parametrize("family, n", [("sw", 2000), ("scw", 900)])
+    def test_estimate_beyond_double_range_exits_3(self, capsys, family, n):
+        # lambda_1^n overflows a double; the exact count is still computed.
+        code, out, err = run_cli(capsys, "asymptotics", family, "--k", "3",
+                                 "--n", str(n))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "double range" in err
+
 
 class TestBinary:
     def test_installed_entry_point_contract(self):
