@@ -27,6 +27,8 @@ class PrecisionExhausted(Exception):
 
 def in_validated_window(n: int, k: int) -> bool:
     """True iff the spectral formulas are guaranteed to round exactly."""
+    check_int("word length", n, 0)
+    check_int("alphabet size", k, 1)
     return 1 <= n <= WINDOW_N_MAX and 1 <= k <= WINDOW_K_MAX
 
 

@@ -4,11 +4,15 @@ Words over the alphabet {1, ..., k} are plain sequences of ints.  A word
 is *smooth* when consecutive letters differ by at most 1, and *smooth
 cyclic* when additionally the last and first letters differ by at most 1.
 
-Counting here works by explicit depth-first extension of smooth prefixes
-(each next letter is one of {c-1, c, c+1} clipped to the alphabet), so it
-visits exactly the words being counted and stays independent of the
-matrix, generating-function, and spectral pipelines it cross-checks.  An
-instance guard rejects enumerations beyond ~1e8 words.
+Counting here is enumeration, so every counted object is visited once
+and the counts stay independent of the matrix, generating-function and
+spectral pipelines they cross-check.  Smooth and smooth cyclic words are
+the leaves of one depth-first extension of smooth prefixes (each next
+letter is one of {c-1, c, c+1} clipped to the alphabet).  Smooth
+necklaces are generated once each, as least rotations, by FKM
+prenecklace generation pruned to smooth prefixes; no rotation of any
+other word is formed.  An instance guard rejects enumerations beyond
+~1e8 words.
 """
 from __future__ import annotations
 
@@ -103,56 +107,68 @@ def canonical_rotation(word: Sequence[int]) -> Word:
     return w[s:] + w[:s]
 
 
-def count_smooth_bf(n: int, k: int) -> int:
-    """Number of smooth words in [k]^n, by depth-first extension."""
-    _validate_instance(n, k)
-    if n == 0:
-        return 1
+def _count_walks(n: int, k: int, cyclic: bool) -> int:
+    """Smooth (or smooth cyclic) words in [k]^n, counted one leaf per word.
 
-    def extend(c: int, length: int) -> int:
-        if length == n:
-            return 1
-        return sum(extend(nxt, length + 1)
-                   for nxt in (c - 1, c, c + 1) if 1 <= nxt <= k)
-
-    return sum(extend(first, 1) for first in range(1, k + 1))
-
-
-def count_cyclic_bf(n: int, k: int) -> int:
-    """Number of smooth cyclic words in [k]^n, by depth-first extension."""
+    No memoisation: every counted word is a leaf of the recursion, which
+    keeps this an enumeration rather than the transfer DP it checks.
+    """
     _validate_instance(n, k)
     if n == 0:
         return 1
 
     def extend(first: int, c: int, length: int) -> int:
         if length == n:
-            return 1 if abs(c - first) <= 1 else 0
-        return sum(extend(first, nxt, length + 1)
-                   for nxt in (c - 1, c, c + 1) if 1 <= nxt <= k)
+            return 1 if not cyclic or abs(c - first) <= 1 else 0
+        length += 1
+        total = extend(first, c, length)
+        if c > 1:
+            total += extend(first, c - 1, length)
+        if c < k:
+            total += extend(first, c + 1, length)
+        return total
 
     return sum(extend(first, first, 1) for first in range(1, k + 1))
 
 
+def count_smooth_bf(n: int, k: int) -> int:
+    """Number of smooth words in [k]^n, by depth-first extension."""
+    return _count_walks(n, k, cyclic=False)
+
+
+def count_cyclic_bf(n: int, k: int) -> int:
+    """Number of smooth cyclic words in [k]^n, by depth-first extension."""
+    return _count_walks(n, k, cyclic=True)
+
+
 def count_necklaces_bf(n: int, k: int) -> int:
-    """Number of smooth necklaces in [k]^n: distinct canonical rotations
-    among the smooth cyclic words."""
+    """Number of smooth necklaces in [k]^n, generating each one once.
+
+    FKM prenecklace generation (Fredricksen-Kessler-Maiorana; Ruskey,
+    Savage and Wang, J. Algorithms 13 (1992)) pruned to smooth prefixes:
+    a[t] runs over max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1), p is the
+    period of the prenecklace a[1..t], and a leaf counts iff p divides n
+    (a necklace) and |a[n] - a[1]| <= 1.  The pruning is exact because every prefix of a smooth
+    cyclic word's least rotation is both a prenecklace and smooth.
+    """
     _validate_instance(n, k)
     if n == 0:
         return 1
-    seen: set[Word] = set()
+    a = [0] * (n + 1)  # a[1..n]; a[0] unused
 
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) == n:
-            if abs(prefix[-1] - prefix[0]) <= 1:
-                seen.add(canonical_rotation(prefix))
-            return
-        c = prefix[-1]
-        for nxt in (c - 1, c, c + 1):
-            if 1 <= nxt <= k:
-                prefix.append(nxt)
-                extend(prefix)
-                prefix.pop()
+    def extend(t: int, p: int) -> int:
+        if t > n:
+            return 1 if n % p == 0 and abs(a[n] - a[1]) <= 1 else 0
+        prev = a[t - 1]
+        repeat = a[t - p]
+        total = 0
+        for c in range(max(repeat, prev - 1), min(k, prev + 1) + 1):
+            a[t] = c
+            total += extend(t + 1, p if c == repeat else t)
+        return total
 
+    total = 0
     for first in range(1, k + 1):
-        extend([first])
-    return len(seen)
+        a[1] = first
+        total += extend(2, 1)
+    return total

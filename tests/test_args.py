@@ -48,6 +48,8 @@ TABLE = {
     "sn_trig": (sw.sn_trig, (3, 3), {0: (0,), 1: (0,)}),
     "sw_asymptotic": (sw.sw_asymptotic, (3, 3), {0: (0,), 1: (0,)}),
     "scw_asymptotic": (sw.scw_asymptotic, (3, 3), {0: (0,), 1: (0,)}),
+    "in_validated_window": (sw.in_validated_window, (3, 3),
+                            {0: (-1,), 1: (0, -1)}),
     "spectrum": (sw.spectrum, (3,), {0: (0,)}),
     "residues": (sw.residues, (3,), {0: (0,)}),
     "cyclic_proportion_limit": (sw.cyclic_proportion_limit, (3,), {0: (0,)}),

@@ -2,8 +2,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from smoothwords import words
+from smoothwords.transfer import (necklace_exact, necklace_row, scw_row,
+                                  sw_row)
 from smoothwords.words import (canonical_rotation, count_cyclic_bf,
                                count_necklaces_bf, count_smooth_bf,
                                is_smooth, is_smooth_cyclic)
@@ -134,13 +137,34 @@ class TestCounts:
         assert count_necklaces_bf(0, 9) == 1
 
     def test_counts_match_filtered_enumeration(self):
-        for k in range(1, 5):
-            for n in range(7):
-                ws = list(all_words(n, k))
-                assert count_smooth_bf(n, k) == sum(is_smooth(w, k) for w in ws)
-                assert count_cyclic_bf(n, k) == sum(is_smooth_cyclic(w, k) for w in ws)
+        for k in range(1, 6):
+            for n in range(9):
+                smooth = [w for w in all_words(n, k) if is_smooth(w, k)]
+                cyclic = [w for w in smooth if is_smooth_cyclic(w, k)]
+                assert count_smooth_bf(n, k) == len(smooth)
+                assert count_cyclic_bf(n, k) == len(cyclic)
                 assert count_necklaces_bf(n, k) == len(
-                    {canonical_rotation(w) for w in ws if is_smooth_cyclic(w, k)})
+                    {canonical_rotation(w) for w in cyclic})
+
+    def test_necklaces_match_burnside(self):
+        for k in range(1, 9):  # every cell here is inside the guard
+            for n in range(13):
+                assert count_necklaces_bf(n, k) == necklace_exact(n, k)
+
+    def test_necklaces_form_no_rotation(self, monkeypatch):
+        # The oracle generates each necklace once; it never canonicalises.
+        def forbidden(word):
+            raise AssertionError("count_necklaces_bf called canonical_rotation")
+        monkeypatch.setattr(words, "canonical_rotation", forbidden)
+        assert count_necklaces_bf(7, 4) == 128 == necklace_exact(7, 4)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 10))
+    def test_oracles_match_rows(self, n, k):
+        assume(words.admits(n, k))
+        assert count_smooth_bf(n, k) == sw_row(k, n)[n]
+        assert count_cyclic_bf(n, k) == scw_row(k, n)[n]
+        assert count_necklaces_bf(n, k) == necklace_row(k, n)[n]
 
     def test_small_alphabets_count_everything(self):
         for k in (1, 2):
