@@ -68,11 +68,6 @@ def _trig_count(family: str, n: int, k: int) -> float:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family, n, k, method = args.family, args.n, args.k, args.method
-    if n < 0:
-        return _usage(f"length must be nonnegative, got {n}")
-    if k < 1:
-        return _usage(f"alphabet size must be positive, got {k}")
-
     if method == "auto" or method == "matrix":
         value = _exact_count(family, n, k)
     elif method == "bruteforce":
@@ -160,8 +155,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        return _usage(f"alphabet size must be positive, got {args.k}")
     gf = genfunc.sw_gf(args.k) if args.family == "sw" else genfunc.scw_gf(args.k)
     print(gf)
     print(",".join(str(c) for c in genfunc.series_coeffs(gf, 11)))

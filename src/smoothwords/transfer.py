@@ -5,13 +5,24 @@ are smooth words and closed walks are smooth cyclic words.  Everything is
 computed over Python's arbitrary-precision integers, so results are exact
 at any length.
 
-Three query pipelines, per their cost profiles:
+Single counts (``sw_exact``, ``scw_exact``, and ``necklace_exact`` through
+``scw_exact`` at each divisor) each have two engines, and a cost rule picks
+one from (n, k) alone:
 
-* row-sum queries (all smooth words, or refined by first letter) iterate
-  the tridiagonal matrix-vector step, O(n k) big-integer additions;
-* trace and single-entry queries (cyclic words, endpoint-refined counts)
-  use binary exponentiation of the full matrix, exploiting that powers of
-  the symmetric M are symmetric;
+* the method of images: a walk on 1..k is a free walk on the integers
+  reflected off 0 and k+1, so the count is a weighted sum of the
+  trinomial coefficients [x^m](1 + x + 1/x)^n over m mod 2(k+1), streamed
+  by their three-term recurrence, about n^2 bit operations whatever k is;
+* binary exponentiation of the full matrix, about k^3 n^1.585 bit
+  operations, using that powers of M are symmetric and unchanged by
+  reversing the alphabet.
+
+Images run iff k^3 > C n^0.415, with C fitted from timings, so large
+alphabets use images and small ones binary powering.  Other queries:
+
+* first-letter counts (``sw_prefix_exact``) iterate the tridiagonal
+  matrix-vector step, O(n k) big-integer additions, and endpoint-refined
+  counts (``scw_pair_exact``) read one entry of the binary power;
 * whole rows (every length n = 0..n_max at one k, as ``table`` and
   ``check`` print them) record each step of one walk instead of starting
   over per length: O(n_max k) for smooth words, O(n_max k^2 / 2) for
@@ -61,15 +72,16 @@ def _walk(w: list[int]) -> Iterator[list[int]]:
 
 
 def _mul_sym(a: Matrix, b: Matrix, k: int) -> Matrix:
-    # a, b are powers of M, hence symmetric and commuting, so the product
-    # is also symmetric and column j of b equals row j of b.
+    # a, b are powers of M, hence symmetric, commuting and unchanged by
+    # reversing the alphabet (i <-> k-1-i), so the product is too: column
+    # j of b equals row j of b, and one entry in four is computed.
     rows: list[list[int]] = [[0] * k for _ in range(k)]
-    for i in range(k):
+    for i in range((k + 1) // 2):
         ai = a[i]
-        for j in range(i, k):
+        for j in range(i, k - i):
             s = sum(map(mul, ai, b[j]))
-            rows[i][j] = s
-            rows[j][i] = s
+            rows[i][j] = rows[j][i] = s
+            rows[k - 1 - j][k - 1 - i] = rows[k - 1 - i][k - 1 - j] = s
     return tuple(tuple(r) for r in rows)
 
 
@@ -95,7 +107,9 @@ def sw_exact(n: int, k: int) -> int:
     check_int("alphabet size", k, 1)
     if n == 0:
         return 1
-    return sum(matrix_power_apply(k, n - 1, [1] * k))
+    if _engine(n, k) == "images":
+        return _sw_images(n, k)
+    return _sw_binary(n, k)
 
 
 def sw_prefix_exact(i: int, n: int, k: int) -> int:
@@ -112,8 +126,88 @@ def scw_exact(n: int, k: int) -> int:
     check_int("alphabet size", k, 1)
     if n == 0:
         return 1
+    if _engine(n, k) == "images":
+        return _scw_images(n, k)
+    return _scw_binary(n, k)
+
+
+# Images cost about n^2 bit operations whatever k is; binary powering about
+# k^3 n^1.585 (k^3/2 entry products per squaring, Karatsuba on entries of
+# about n bits).  The constant rounds the median, 38, of k^3 n^-0.415
+# t_images / t_binary over 42 timings of both engines at k = 4..30,
+# n = 300..30000 (quartiles 32 and 46).
+_IMAGES_OVER_BINARY = 40
+
+
+def _engine(n: int, k: int) -> str:
+    """Name of the cheaper exact engine for one count at n >= 1."""
+    return "images" if k ** 3 > _IMAGES_OVER_BINARY * n ** 0.415 else "binary"
+
+
+def _sw_binary(n: int, k: int) -> int:
+    return sum(map(sum, matrix_power(k, n - 1)))
+
+
+def _scw_binary(n: int, k: int) -> int:
     p = matrix_power(k, n)
     return sum(p[i][i] for i in range(k))
+
+
+def _trinomials(length: int) -> Iterator[int]:
+    """Yield T(L, m) = [x^m](1 + x + 1/x)^L for m = L, L-1, ..., 0.
+
+    Coefficient j of (1 + x + x^2)^L is T(L, j - L) = T(L, L - j), and
+    (j+1) a_{j+1} = (L-j) a_j + (2L-j+1) a_{j-1}; only two terms are kept.
+    """
+    before, a = 0, 1
+    for j in range(length):
+        yield a
+        after, rest = divmod(
+            (length - j) * a + (2 * length - j + 1) * before, j + 1)
+        if rest:
+            raise AssertionError(
+                f"trinomial recurrence inexact at L={length}, j={j}; "
+                "counting bug")
+        before, a = a, after
+    yield a
+
+
+def _images_sum(length: int, weights: list[int]) -> int:
+    """sum_{|m| <= L} T(L, m) weights[m mod P] with P = len(weights), for
+    weights[r] == weights[-r mod P]: T(L, m) = T(L, -m), so only m >= 0
+    is walked."""
+    period = len(weights)
+    half = [0] * period
+    terms = _trinomials(length)
+    for m, t in zip(range(length, 0, -1), terms):  # stops before T(L, 0)
+        half[m % period] += t
+    return weights[0] * next(terms) + 2 * sum(map(mul, half, weights))
+
+
+def _sw_images(n: int, k: int) -> int:
+    """1^T M^(n-1) 1 by the reflection principle.
+
+    A walk on 1..k is a free walk on Z reflected off 0 and k+1, so with
+    P = 2(k+1) it is sum_m T(n-1, m) w[m mod P], where w[r] counts letter
+    pairs (i, j) with j - i = r minus those with i + j = r (mod P).
+    """
+    period = 2 * (k + 1)
+    weights = [0] * period
+    for d in range(1 - k, k):  # k - |d| pairs with j - i = d
+        weights[d % period] += k - abs(d)
+    for s in range(2, 2 * k + 1):  # min(s-1, 2k+1-s) pairs with i + j = s
+        weights[s] -= min(s - 1, 2 * k + 1 - s)
+    return _images_sum(n - 1, weights)
+
+
+def _scw_images(n: int, k: int) -> int:
+    """Trace of M^n by the reflection principle: the eigenvalues
+    1 + 2cos(j pi/(k+1)) summed over j mod P = 2(k+1) give
+    P sum_{m = 0 mod P} T(n, m); j = 0 and j = k+1 add 3^n and (-1)^n,
+    and j, P - j give the same term."""
+    indicator = [1] + [0] * (2 * k + 1)
+    return ((k + 1) * _images_sum(n, indicator)
+            - (3 ** n + (-1) ** n) // 2)
 
 
 def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:

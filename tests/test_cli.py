@@ -71,6 +71,11 @@ class TestCount:
         assert run_cli(capsys, "count", "sw", "--n", "3", "--k", "0")[0] == 2
         assert run_cli(capsys, "count", "nope", "--n", "3", "--k", "3")[0] == 2
         assert run_cli(capsys, "count", "sw", "--k", "3")[0] == 2
+        # The engines' own argument checks, not the CLI, reject these.
+        for method in ("auto", "bruteforce", "matrix", "gf", "spectral"):
+            for bad in (("--n", "-1", "--k", "3"), ("--n", "3", "--k", "0")):
+                assert run_cli(capsys, "count", "sw", *bad,
+                               "--method", method)[:2] == (2, "")
 
 
 class TestTable:

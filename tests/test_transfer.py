@@ -2,7 +2,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from smoothwords import transfer
 from smoothwords.chebyshev import eval_poly
 from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
                                   necklace_exact, necklace_row, scw_exact,
@@ -11,7 +13,8 @@ from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
                                   transfer_matrix, usmani_inverse_entry)
 from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
                                count_smooth_bf)
-from smoothwords.genfunc import RationalSeries, series_equal
+from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
+                                 series_equal, sw_gf)
 from smoothwords.chebyshev import Poly
 
 
@@ -180,6 +183,58 @@ class TestRows:
         for row, _ in self.ROWS:
             with pytest.raises(ValueError):
                 row(k, n_max)
+
+
+class TestEngines:
+    """Both single-count engines, and the cost rule that picks between
+    them, against the walk rows and the generating-function series."""
+
+    ENGINES = ((transfer._sw_images, transfer._sw_binary, sw_row),
+               (transfer._scw_images, transfer._scw_binary, scw_row))
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_engines_match_rows(self, k):
+        for images, binary, row in self.ENGINES:
+            want = row(k, 60)
+            assert [images(n, k) for n in range(1, 61)] == want[1:]
+            assert [binary(n, k) for n in range(1, 61)] == want[1:]
+        for row, cell in TestRows.ROWS:
+            assert [cell(n, k) for n in range(61)] == row(k, 60)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 400),
+           st.one_of(st.integers(1, 10), st.integers(11, 300)))
+    @example(400, 7)  # binary side of the crossover
+    @example(400, 8)  # images side
+    def test_engines_match_series(self, n, k):
+        # The scw row costs n k^2 / 2 additions, too slow at k = 300, so the
+        # independent generating-function series stands in for the rows.
+        sw = series_coeffs(sw_gf(k), n)
+        scw = series_coeffs(scw_gf(k), n)
+        assert sw_exact(n, k) == transfer._sw_images(n, k) == sw[n]
+        assert scw_exact(n, k) == transfer._scw_images(n, k) == scw[n]
+        cyclic = sum(totient(d) * scw[n // d] for d in divisors(n))
+        assert necklace_exact(n, k) * n == cyclic
+
+    def test_cost_rule(self):
+        assert transfer._engine(48, 202) == "images"
+        assert transfer._engine(36, 161) == "images"
+        assert transfer._engine(400, 8) == "images"
+        assert transfer._engine(400, 7) == "binary"
+        assert transfer._engine(3000, 2) == "binary"
+        assert transfer._engine(300000, 1) == "binary"
+
+    def test_sw_exact_never_walks(self, monkeypatch):
+        want = {(5000, 2): sw_row(2, 5000)[5000],
+                (2000, 50): sw_row(50, 2000)[2000],
+                (300000, 1): 1}
+
+        def refuse(_):
+            raise AssertionError("sw_exact walked the tridiagonal step")
+
+        monkeypatch.setattr(transfer, "_walk", refuse)
+        for (n, k), count in want.items():
+            assert sw_exact(n, k) == count
 
 
 class TestNumberTheory:
