@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import genfunc, spectral, transfer, words
+from ._args import check_int
 
 OK, CHECK_FAILED, USAGE_ERROR, PRECISION_EXHAUSTED = 0, 1, 2, 3
 
@@ -34,52 +35,40 @@ def _usage(message: str) -> int:
     return USAGE_ERROR
 
 
-def _exact_count(family: str, n: int, k: int) -> int:
-    if family == "sw":
-        return transfer.sw_exact(n, k)
-    if family == "scw":
-        return transfer.scw_exact(n, k)
-    return transfer.necklace_exact(n, k)
+# Each family's function in each pipeline, by name.  `_pipeline` looks the
+# name up on every call, so a patched or wrapped module attribute is the
+# one that runs.  Necklaces have no generating function.
+_FAMILIES = {
+    "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "count_smooth_bf",
+           "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf"},
+    "scw": {"exact": "scw_exact", "row": "scw_row",
+            "bruteforce": "count_cyclic_bf", "trig": "scw_trig",
+            "leading": "scw_asymptotic", "gf": "scw_gf"},
+    "sn": {"exact": "necklace_exact", "row": "necklace_row",
+           "bruteforce": "count_necklaces_bf", "trig": "sn_trig"},
+}
+_MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
+            "trig": spectral, "leading": spectral, "gf": genfunc}
 
 
-def _exact_row(family: str, k: int, n_max: int) -> list[int]:
-    if family == "sw":
-        return transfer.sw_row(k, n_max)
-    if family == "scw":
-        return transfer.scw_row(k, n_max)
-    return transfer.necklace_row(k, n_max)
-
-
-def _bruteforce_count(family: str, n: int, k: int) -> int:
-    if family == "sw":
-        return words.count_smooth_bf(n, k)
-    if family == "scw":
-        return words.count_cyclic_bf(n, k)
-    return words.count_necklaces_bf(n, k)
-
-
-def _trig_count(family: str, n: int, k: int) -> float:
-    if family == "sw":
-        return spectral.sw_trig(n, k)
-    if family == "scw":
-        return spectral.scw_trig(n, k)
-    return spectral.sn_trig(n, k)
+def _pipeline(family: str, stage: str):
+    return getattr(_MODULES[stage], _FAMILIES[family][stage])
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family, n, k, method = args.family, args.n, args.k, args.method
     if method == "auto" or method == "matrix":
-        value = _exact_count(family, n, k)
+        value = _pipeline(family, "exact")(n, k)
     elif method == "bruteforce":
         if not words.admits(n, k):
             return _usage(f"brute force rejects n={n} k={k}: "
                           f"k*3^(n-1) exceeds {words.ENUMERATION_LIMIT}")
-        value = _bruteforce_count(family, n, k)
+        value = _pipeline(family, "bruteforce")(n, k)
     elif method == "gf":
-        if family == "sn":
+        if "gf" not in _FAMILIES[family]:
             return _usage("no generating-function pipeline for necklaces")
-        gf = genfunc.sw_gf(k) if family == "sw" else genfunc.scw_gf(k)
-        value = genfunc.series_coeffs(gf, n)[n]
+        check_int("word length", n, 0)
+        value = genfunc.series_coeffs(_pipeline(family, "gf")(k), n)[n]
     else:  # spectral
         if not spectral.in_validated_window(n, k):
             print(f"error: spectral method only validated for "
@@ -87,7 +76,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                   f"1 <= k <= {spectral.WINDOW_K_MAX}", file=sys.stderr)
             return PRECISION_EXHAUSTED
         try:
-            value = spectral.round_validated(_trig_count(family, n, k),
+            value = spectral.round_validated(_pipeline(family, "trig")(n, k),
                                              ROUND_BUDGET)
         except spectral.PrecisionExhausted as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -126,7 +115,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []  # (family, k, counts for n = 0..n_max)
     for k in range(k_min, k_max + 1):
         for fam in families:
-            rows.append((fam, k, _exact_row(fam, k, n_max)))
+            rows.append((fam, k, _pipeline(fam, "row")(k, n_max)))
 
     ns = list(range(n_max + 1))
     if fmt == "md":
@@ -155,7 +144,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    gf = genfunc.sw_gf(args.k) if args.family == "sw" else genfunc.scw_gf(args.k)
+    gf = _pipeline(args.family, "gf")(args.k)
     print(gf)
     print(",".join(str(c) for c in genfunc.series_coeffs(gf, 11)))
     return OK
@@ -179,22 +168,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
                               f"method={method} got={got} want={want}")
 
     for k in range(1, k_max + 1):
-        series = {"sw": genfunc.series_coeffs(genfunc.sw_gf(k), n_max),
-                  "scw": genfunc.series_coeffs(genfunc.scw_gf(k), n_max)}
-        exact = {family: _exact_row(family, k, n_max)
-                 for family in ("sw", "scw", "sn")}
+        series = {family: genfunc.series_coeffs(_pipeline(family, "gf")(k),
+                                                n_max)
+                  for family, names in _FAMILIES.items() if "gf" in names}
+        exact = {family: _pipeline(family, "row")(k, n_max)
+                 for family in _FAMILIES}
         for n in range(n_max + 1):
-            for family in ("sw", "scw", "sn"):
+            for family in _FAMILIES:
                 want = exact[family][n]
-                if family != "sn":
+                if family in series:
                     compare(family, n, k, "gf", series[family][n], want)
                 if words.admits(n, k):
                     compare(family, n, k, "bruteforce",
-                            _bruteforce_count(family, n, k), want)
+                            _pipeline(family, "bruteforce")(n, k), want)
                 if spectral.in_validated_window(n, k):
                     try:
                         got = spectral.round_validated(
-                            _trig_count(family, n, k), ROUND_BUDGET)
+                            _pipeline(family, "trig")(n, k), ROUND_BUDGET)
                     except spectral.PrecisionExhausted as exc:
                         got = f"unroundable ({exc})"
                     compare(family, n, k, "spectral", got, want)
@@ -222,12 +212,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
             print(f"deviation {abs(float(ratio) - limit)!r}")
         return OK
 
-    if family == "sw":
-        leading, exact = spectral.sw_asymptotic, transfer.sw_exact(n, k)
-    else:
-        leading, exact = spectral.scw_asymptotic, transfer.scw_exact(n, k)
+    exact = _pipeline(family, "exact")(n, k)
     try:  # lambda_1^n overflows a double at large n; the exact int does not
-        estimate = leading(n, k)
+        estimate = _pipeline(family, "leading")(n, k)
         ratio = estimate / exact
     except OverflowError:
         print(f"error: {family} estimate at n={n} k={k} exceeds double range",

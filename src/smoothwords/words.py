@@ -67,10 +67,8 @@ def is_smooth_cyclic(word: Sequence[int], k: int) -> bool:
     >>> is_smooth_cyclic((1, 2, 2), 3)
     True
     """
-    w = _validate_word(word, k)
-    if not all(abs(a - b) <= 1 for a, b in zip(w, w[1:])):
-        return False
-    return len(w) <= 1 or abs(w[-1] - w[0]) <= 1
+    w = tuple(word)
+    return is_smooth(w, k) and (len(w) <= 1 or abs(w[-1] - w[0]) <= 1)
 
 
 def _least_rotation_start(word: Word) -> int:

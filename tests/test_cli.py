@@ -26,11 +26,17 @@ class TestCount:
         assert run_cli(capsys, "count", "scw", "--n", "8", "--k", "6",
                        "--method", "spectral")[:2] == (0, "4468\n")
 
-    def test_all_methods_agree(self, capsys):
+    @pytest.mark.parametrize("family, count",
+                             [("sw", 1220), ("scw", 872), ("sn", 128)])
+    def test_all_methods_agree(self, capsys, family, count):
+        # Every cell of the CLI's family table, reached through `count`.
         for method in ("auto", "bruteforce", "matrix", "gf", "spectral"):
-            code, out, _ = run_cli(capsys, "count", "scw", "--n", "7", "--k", "4",
-                                   "--method", method)
-            assert (code, out) == (0, "872\n")
+            code, out, _ = run_cli(capsys, "count", family, "--n", "7",
+                                   "--k", "4", "--method", method)
+            if family == "sn" and method == "gf":
+                assert (code, out) == (2, "")
+            else:
+                assert (code, out) == (0, f"{count}\n")
 
     def test_large_count_is_plain_decimal(self, capsys):
         code, out, _ = run_cli(capsys, "count", "sw", "--n", "200", "--k", "3")
@@ -71,11 +77,14 @@ class TestCount:
         assert run_cli(capsys, "count", "sw", "--n", "3", "--k", "0")[0] == 2
         assert run_cli(capsys, "count", "nope", "--n", "3", "--k", "3")[0] == 2
         assert run_cli(capsys, "count", "sw", "--k", "3")[0] == 2
-        # The engines' own argument checks, not the CLI, reject these.
+        # Every method names the argument the user got wrong.
         for method in ("auto", "bruteforce", "matrix", "gf", "spectral"):
-            for bad in (("--n", "-1", "--k", "3"), ("--n", "3", "--k", "0")):
-                assert run_cli(capsys, "count", "sw", *bad,
-                               "--method", method)[:2] == (2, "")
+            for bad, name in ((("--n", "-1", "--k", "3"), "word length"),
+                              (("--n", "3", "--k", "0"), "alphabet size")):
+                code, out, err = run_cli(capsys, "count", "sw", *bad,
+                                         "--method", method)
+                assert (code, out) == (2, "")
+                assert name in err
 
 
 class TestTable:
@@ -214,6 +223,15 @@ class TestAsymptotics:
         assert lines["exact"] == "16239"
         assert abs(float(lines["estimate"]) - 16239) < 1.0
         assert abs(float(lines["ratio"]) - 1) < 1e-3
+
+    def test_sw_estimate(self, capsys):
+        code, out, _ = run_cli(capsys, "asymptotics", "sw", "--k", "3",
+                               "--n", "11")
+        assert code == 0
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert lines["exact"] == "19601"
+        assert abs(float(lines["estimate"]) - 19601) < 1.0
+        assert abs(float(lines["ratio"]) - 1) < 1e-6
 
     def test_proportion_large_k(self, capsys):
         import math
