@@ -9,9 +9,10 @@ Subcommands:
 * ``asymptotics``  -- leading-term estimates against exact values
 
 Counts are always printed as full decimal strings.  Exit status: 0 on
-success, 1 when ``check`` finds a disagreement, 2 on usage errors, 3 when
-a spectral request falls outside the validated precision window or an
-``asymptotics`` estimate exceeds double range.
+success, 1 when ``check`` finds a disagreement, 2 on usage errors and on
+requests too large for memory, 3 when a spectral request falls outside
+the validated precision window or an ``asymptotics`` estimate exceeds
+double range.
 """
 from __future__ import annotations
 
@@ -289,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _usage(str(exc))
+    except MemoryError:
+        return _usage(f"{args.command} request too large to hold in memory")
 
 
 def run() -> None:

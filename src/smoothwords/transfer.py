@@ -12,7 +12,7 @@ one from (n, k) alone:
 * the method of images: a walk on 1..k is a free walk on the integers
   reflected off 0 and k+1, so the count is a weighted sum of the
   trinomial coefficients [x^m](1 + x + 1/x)^n over m mod 2(k+1), streamed
-  by their three-term recurrence, about n^2 bit operations whatever k is;
+  by their recurrence, about n^2 bit operations and O(n) space at any k;
 * binary exponentiation of the full matrix, about k^3 n^1.585 bit
   operations, using that powers of M are symmetric and unchanged by
   reversing the alphabet.
@@ -25,11 +25,13 @@ alphabets use images and small ones binary powering.  Other queries:
   counts (``scw_pair_exact``) read one entry of the binary power;
 * whole rows (every length n = 0..n_max at one k, as ``table`` and
   ``check`` print them) record each step of one walk instead of starting
-  over per length: O(n_max k) for smooth words, O(n_max k^2 / 2) for
-  cyclic words and necklaces.
+  over per length, O(n_max k) additions: the all-ones vector for smooth
+  words, e_0 on the cycle Z/2(k+1) folded onto 0..k+1 for cyclic words.
 
-Necklace counts average the cyclic counts over rotations with Euler's
-totient; the division is checked exact, since anything else is a bug.
+Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
+the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
+average the cyclic counts over rotations with Euler's totient; the
+division is checked exact, since anything else is a bug.
 """
 from __future__ import annotations
 
@@ -172,42 +174,39 @@ def _trinomials(length: int) -> Iterator[int]:
     yield a
 
 
-def _images_sum(length: int, weights: list[int]) -> int:
-    """sum_{|m| <= L} T(L, m) weights[m mod P] with P = len(weights), for
-    weights[r] == weights[-r mod P]: T(L, m) = T(L, -m), so only m >= 0
-    is walked."""
-    period = len(weights)
-    half = [0] * period
+def _images_sum(length: int, period: int, weight: Callable[[int], int]) -> int:
+    """sum_{|m| <= L} T(L, m) weight(m mod P) with P = ``period``, for
+    weight(r) == weight(-r mod P): T(L, m) = T(L, -m), so only m >= 0 is
+    walked, and only the min(P, L + 1) residues it reaches are bucketed."""
+    half = [0] * min(period, length + 1)
     terms = _trinomials(length)
     for m, t in zip(range(length, 0, -1), terms):  # stops before T(L, 0)
         half[m % period] += t
-    return weights[0] * next(terms) + 2 * sum(map(mul, half, weights))
+    return (weight(0) * next(terms)
+            + 2 * sum(t * weight(r) for r, t in enumerate(half)))
 
 
 def _sw_images(n: int, k: int) -> int:
     """1^T M^(n-1) 1 by the reflection principle.
 
     A walk on 1..k is a free walk on Z reflected off 0 and k+1, so with
-    P = 2(k+1) it is sum_m T(n-1, m) w[m mod P], where w[r] counts letter
+    P = 2(k+1) it is sum_m T(n-1, m) w(m mod P), where w(r) counts letter
     pairs (i, j) with j - i = r minus those with i + j = r (mod P).
     """
-    period = 2 * (k + 1)
-    weights = [0] * period
-    for d in range(1 - k, k):  # k - |d| pairs with j - i = d
-        weights[d % period] += k - abs(d)
-    for s in range(2, 2 * k + 1):  # min(s-1, 2k+1-s) pairs with i + j = s
-        weights[s] -= min(s - 1, 2 * k + 1 - s)
-    return _images_sum(n - 1, weights)
+    p = 2 * (k + 1)
+    return _images_sum(n - 1, p, lambda r: max(0, k - min(r, p - r))
+                       - max(0, min(r - 1, p - 1 - r)))
 
 
 def _scw_images(n: int, k: int) -> int:
-    """Trace of M^n by the reflection principle: the eigenvalues
-    1 + 2cos(j pi/(k+1)) summed over j mod P = 2(k+1) give
-    P sum_{m = 0 mod P} T(n, m); j = 0 and j = k+1 add 3^n and (-1)^n,
-    and j, P - j give the same term."""
-    indicator = [1] + [0] * (2 * k + 1)
-    return ((k + 1) * _images_sum(n, indicator)
-            - (3 ** n + (-1) ** n) // 2)
+    """Trace of M^n from c_n = sum_{m = 0 mod 2(k+1)} T(n, m) (`_trace`)."""
+    return _trace(n, k, _images_sum(n, 2 * (k + 1), lambda r: int(r == 0)))
+
+
+def _trace(n: int, k: int, closed: int) -> int:
+    """Trace of M^n from the ``closed`` walks of length n at 0 on the cycle
+    Z/2(k+1), whose eigenvalues are 3, -1 and each eigenvalue of M twice."""
+    return (k + 1) * closed - (3 ** n + (-1) ** n) // 2
 
 
 def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
@@ -283,22 +282,19 @@ def sw_row(k: int, n_max: int) -> list[int]:
 
 
 def scw_row(k: int, n_max: int) -> list[int]:
-    """Smooth cyclic-word counts in [k]^n for n = 0..n_max: entry n >= 1 is
-    the trace of M^n, entry 0 is 1 (the empty word).
-
-    Diagonal entry i of M^n is coordinate i of the walk of the basis vector
-    e_i.  Reversing the alphabet (i <-> k+1-i) is a symmetry of M, so
-    letters i and k+1-i share their diagonal entries and only ceil(k/2)
-    walks are needed.  O(n_max k^2 / 2) additions.
+    """Smooth cyclic-word counts in [k]^n for n = 0..n_max (entry 0 is the
+    empty word): `_trace` of the closed walks at 0 on the cycle Z/2(k+1),
+    read off one walk of e_0 on the cycle folded by r <-> -r onto 0..k+1,
+    whose ends are mirrored rather than zero-padded.  O(n_max k) additions.
     """
     check_int("alphabet size", k, 1)
     check_int("n_max", n_max, 0)
-    row = [1] + [0] * n_max
-    for i in range((k + 1) // 2):
-        weight = 1 if 2 * i + 1 == k else 2
-        basis = [int(j == i) for j in range(k)]
-        for n, w in enumerate(islice(_walk(basis), 1, n_max + 1), 1):
-            row[n] += weight * w[i]
+    row = [1]
+    h = [1] + [0] * (k + 1)
+    for n in range(1, n_max + 1):
+        padded = [h[1], *h, h[k]]
+        h = list(map(add, map(add, padded, h), padded[2:]))
+        row.append(_trace(n, k, h[0]))
     return row
 
 

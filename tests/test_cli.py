@@ -25,6 +25,9 @@ class TestCount:
             (0, "1\n")
         assert run_cli(capsys, "count", "scw", "--n", "8", "--k", "6",
                        "--method", "spectral")[:2] == (0, "4468\n")
+        assert run_cli(capsys, "count", "sw", "--n", "6",
+                       "--k", "1000000000000000000")[:2] == \
+            (0, "242999999999999999492\n")
 
     @pytest.mark.parametrize("family, count",
                              [("sw", 1220), ("scw", 872), ("sn", 128)])
@@ -150,6 +153,13 @@ class TestTable:
         assert run_cli(capsys, "table", "both", "9", "3", "11", "md")[0] == 2
         assert run_cli(capsys, "table", "both", "0", "3", "11", "md")[0] == 2
         assert run_cli(capsys, "table", "both", "3", "7", "-1", "md")[0] == 2
+
+    def test_row_too_large_for_memory_exits_2(self, capsys):
+        # A walk row holds k integers, which 10**18 letters cannot.
+        code, out, err = run_cli(capsys, "table", "sw", "1000000000000000000",
+                                 "1000000000000000000", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too large" in err
 
 
 class TestGf:

@@ -207,14 +207,25 @@ class TestEngines:
     @example(400, 7)  # binary side of the crossover
     @example(400, 8)  # images side
     def test_engines_match_series(self, n, k):
-        # The scw row costs n k^2 / 2 additions, too slow at k = 300, so the
-        # independent generating-function series stands in for the rows.
+        # Images and the cyclic rows share the trace identity, so the
+        # generating-function series is the independent witness for both.
         sw = series_coeffs(sw_gf(k), n)
         scw = series_coeffs(scw_gf(k), n)
         assert sw_exact(n, k) == transfer._sw_images(n, k) == sw[n]
         assert scw_exact(n, k) == transfer._scw_images(n, k) == scw[n]
+        assert sw_row(k, n)[n] == sw[n]
+        assert scw_row(k, n)[n] == scw[n]
         cyclic = sum(totient(d) * scw[n // d] for d in divisors(n))
         assert necklace_exact(n, k) * n == cyclic
+        assert necklace_row(k, n)[n] * n == cyclic
+
+    @pytest.mark.parametrize("count", [sw_exact, scw_exact, necklace_exact])
+    def test_huge_alphabet(self, count):
+        # A word of length n uses at most n consecutive letters, so each
+        # count is linear in k from k = n on; images allocate nothing of
+        # size k, so k = 10**18 is as cheap as k = 40.
+        at_40, at_41 = count(6, 40), count(6, 41)
+        assert count(6, 10**18) == at_40 + (at_41 - at_40) * (10**18 - 40)
 
     def test_cost_rule(self):
         assert transfer._engine(48, 202) == "images"
