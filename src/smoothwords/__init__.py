@@ -7,7 +7,8 @@ generating functions (`genfunc`), and trigonometric closed forms with
 validated rounding (`spectral`).
 """
 
-from .chebyshev import Poly, eval_poly, t_poly, theta_poly, u_poly, u_zeros
+from .chebyshev import (Poly, eval_poly, t_poly, theta_parts, theta_poly,
+                        u_poly, u_zeros)
 from .genfunc import (RationalSeries, scw_gf, series_coeffs, series_equal,
                       sw_gf, sw_prefix_gf)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
@@ -26,7 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "RationalSeries", "Spectrum", "PrecisionExhausted",
-    "u_poly", "t_poly", "theta_poly", "eval_poly", "u_zeros",
+    "u_poly", "t_poly", "theta_poly", "theta_parts",
+    "eval_poly", "u_zeros",
     "is_smooth", "is_smooth_cyclic", "canonical_rotation",
     "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf", "admits",
     "transfer_matrix", "matrix_power", "matrix_power_apply",

@@ -13,6 +13,10 @@ Three families are built here:
 * ``theta_poly(i)`` -- the rationalizing family ``theta_i(x) =
   x^i U_i((1-x)/(2x))``, computed by its own integer recurrence so that
   the bridge to ``u_poly`` stays an independent cross-check.
+
+``theta_parts(k)`` returns theta_{k-1}, theta_k and theta_k split into
+two factors of about half its degree by the Chebyshev product identities,
+all from a single pass of the recurrence.
 """
 from __future__ import annotations
 
@@ -165,14 +169,58 @@ def theta_poly(i: int) -> Poly:
     Poly(1, -2)
     """
     check_int("theta_poly index", i, 0)
-    prev, cur = Poly(1), Poly(1, -1)
-    if i == 0:
-        return prev
-    one_minus_x = Poly(1, -1)
-    x_squared = Poly(0, 0, 1)
-    for _ in range(i - 1):
-        prev, cur = cur, one_minus_x * cur - x_squared * prev
-    return cur
+    return Poly(*_theta_lists({i})[i])
+
+
+def theta_parts(k: int) -> tuple[Poly, Poly, tuple[Poly, ...]]:
+    """theta_{k-1}, theta_k, and theta_k as a tuple of factors of about
+    half its degree, each with constant term 1, from one pass of the theta
+    recurrence.
+
+    From U_{2m} = (U_m - U_{m-1})(U_m + U_{m-1}) and U_{2m+1} = 2 T_{m+1} U_m:
+
+    * theta_{2m} = (theta_m - x theta_{m-1}) (theta_m + x theta_{m-1});
+    * theta_{2m+1} = theta_m (theta_{m+1} - x^2 theta_{m-1});
+    * ``(theta_k,)`` for k <= 2.
+
+    >>> theta_parts(3)
+    (Poly(1, -2), Poly(1, -3, 1, 1), (Poly(1, -1), Poly(1, -2, -1)))
+    >>> theta_parts(4)[2]
+    (Poly(1, -3, 1), Poly(1, -1, -1))
+    """
+    check_int("theta_parts index", k, 1)
+    m = k // 2
+    table = _theta_lists({k - 1, k} if k <= 2 else {k - 1, k, m - 1, m, m + 1})
+    th_km1, th_k = Poly(*table[k - 1]), Poly(*table[k])
+    if k <= 2:
+        return th_km1, th_k, (th_k,)
+    if k % 2 == 0:  # theta_m has m + 1 coefficients, x theta_{m-1} too
+        shifted = [0] + table[m - 1]
+        return th_km1, th_k, (
+            Poly(*(a - b for a, b in zip(table[m], shifted))),
+            Poly(*(a + b for a, b in zip(table[m], shifted))))
+    shifted = [0, 0] + table[m - 1]  # m + 2 coefficients, as theta_{m+1}
+    return th_km1, th_k, (
+        Poly(*table[m]),
+        Poly(*(a - b for a, b in zip(table[m + 1], shifted))))
+
+
+def _theta_lists(wanted: set[int]) -> dict[int, list[int]]:
+    """Coefficients of theta_i for each i in ``wanted``, from one pass of the
+    recurrence up to the largest; no other theta_i outlives its step.
+
+    theta_i is held as a list of exactly i + 1 coefficients (trailing zeros
+    kept), so each step is one aligned comprehension.
+    """
+    table = {}
+    prev, cur = [], [1]  # theta_{-1} = 0, theta_0 = 1
+    for i in range(max(wanted) + 1):
+        if i:
+            prev, cur = cur, [a - b - c for a, b, c in
+                              zip(cur + [0], [0] + cur, [0, 0] + prev)]
+        if i in wanted:
+            table[i] = cur
+    return table
 
 
 def u_zeros(m: int) -> list[float]:

@@ -10,9 +10,9 @@ Subcommands:
 
 Counts are always printed as full decimal strings.  Exit status: 0 on
 success, 1 when ``check`` finds a disagreement, 2 on usage errors and on
-requests too large for memory, 3 when a spectral request falls outside
-the validated precision window or an ``asymptotics`` estimate exceeds
-double range.
+requests too large for memory or for an index, 3 when a spectral request
+falls outside the validated precision window or an ``asymptotics``
+estimate exceeds double range.
 """
 from __future__ import annotations
 
@@ -292,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         return _usage(str(exc))
     except MemoryError:
         return _usage(f"{args.command} request too large to hold in memory")
+    except OverflowError:  # e.g. a row of 10**19 entries cannot be indexed
+        return _usage(f"{args.command} request too large")
 
 
 def run() -> None:

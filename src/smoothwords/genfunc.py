@@ -13,18 +13,35 @@ substituting the theta family for the Chebyshev polynomials evaluated at
 * counts refined by first letter i:
   ``x (th_k - x^i th_{k-i} - x^{k-i+1} th_{i-1}) / ((1-3x) th_k)``
 
-Numerator/denominator pairs are deliberately left unreduced; series
-extraction and the cross-multiplied equality test are insensitive to
-common factors, so no polynomial GCD machinery is needed.  Coefficients
-come out of the denominator-driven linear recurrence
-``a_n = num_n - sum_{m>=1} den_m a_{n-m}`` with exact big integers.
+Numerator/denominator pairs are deliberately left unreduced, so the
+printed forms are the paper's.  The cross-multiplied equality test is
+insensitive to common factors, and so is series extraction: a
+`RationalSeries` may carry its denominator as a product of factors, and
+`series_coeffs` first drops every factor that divides the numerator
+exactly (a zero remainder in Z[x]), then divides by the remaining factors
+one after another in a single pass over n, each by the linear recurrence
+``b_n = c_n - sum_{m>=1} f_m b_{n-m}`` in exact big integers, holding
+only its last deg f values.  No polynomial GCD machinery is needed.
+
+`sw_gf` and `scw_gf` pass their leading factors and the two halves of
+theta_k from `theta_parts`, each of about half the degree of theta_k.
+Since ``1^T M^n 1`` sees only the mirror-symmetric eigenvectors of the
+transfer matrix, the ``sw`` numerator is divisible by (1-3x)^2 and by the
+antisymmetric half of theta_k, so one factor of degree at most ceil(k/2)
+is left.  The ``scw`` numerator is divisible by (1+x)(1-3x) only, so both
+halves of theta_k are left, each with about half the coefficient bits of
+theta_k.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
+import math
+import operator
 
 from ._args import check_int
-from .chebyshev import Poly, theta_poly
+from .chebyshev import Poly, theta_parts, theta_poly
 
 _ONE_MINUS_3X = Poly(1, -3)
 _ONE_PLUS_X = Poly(1, 1)
@@ -37,10 +54,18 @@ class RationalSeries:
     The denominator is normalized to constant term +1 (sign flipped if
     needed); a zero constant term has no power-series inverse and is
     rejected.
+
+    ``factors`` optionally gives the denominator as a product, which
+    `series_coeffs` divides by one factor at a time.  Each factor is
+    normalized to constant term +1 like the denominator, and the factors
+    must then multiply to it.  Without factors the denominator is its own
+    single factor.  Factors play no part in equality or printing.
     """
 
     num: Poly
     den: Poly
+    factors: tuple[Poly, ...] = dataclasses.field(
+        default=(), compare=False, repr=False)
 
     def __post_init__(self):
         c0 = self.den.constant_term()
@@ -51,6 +76,15 @@ class RationalSeries:
         if c0 < 0:
             object.__setattr__(self, "num", -self.num)
             object.__setattr__(self, "den", -self.den)
+        if not self.factors:
+            object.__setattr__(self, "factors", (self.den,))
+            return
+        factors = tuple(-f if f.constant_term() < 0 else f
+                        for f in self.factors)
+        if math.prod(factors, start=Poly(1)) != self.den:
+            raise ValueError("denominator factors must multiply to the "
+                             "denominator")
+        object.__setattr__(self, "factors", factors)
 
     def __add__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
         other = _as_series(other)
@@ -108,23 +142,23 @@ def poly_str(p: Poly) -> str:
 def sw_gf(k: int) -> RationalSeries:
     """Generating function whose x^n coefficient counts smooth words in [k]^n."""
     check_int("alphabet size", k, 1)
-    th_k = theta_poly(k)
-    th_km1 = theta_poly(k - 1)
+    th_km1, th_k, factors = theta_parts(k)
     sq = _ONE_MINUS_3X * _ONE_MINUS_3X
     num = (sq * th_k + Poly(0, k, -(3 * k + 2)) * th_k
            + 2 * (Poly(1).shift(k - 1) + th_km1).shift(3))
-    return RationalSeries(num, sq * th_k)
+    return RationalSeries(num, sq * th_k,
+                          (_ONE_MINUS_3X, _ONE_MINUS_3X) + factors)
 
 
 def scw_gf(k: int) -> RationalSeries:
     """Generating function whose x^n coefficient counts smooth cyclic words."""
     check_int("alphabet size", k, 1)
-    th_k = theta_poly(k)
-    th_km1 = theta_poly(k - 1)
+    th_km1, th_k, factors = theta_parts(k)
     lead = _ONE_PLUS_X * _ONE_MINUS_3X
     num = (lead * th_k + Poly(0, k, 3 * k) * th_k
            - (2 * (k + 1)) * th_km1.shift(2))
-    return RationalSeries(num, lead * th_k)
+    return RationalSeries(num, lead * th_k,
+                          (_ONE_PLUS_X, _ONE_MINUS_3X) + factors)
 
 
 def sw_prefix_gf(i: int, k: int) -> RationalSeries:
@@ -148,15 +182,41 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     [1, 3, 9, 27, 81]
     """
     check_int("n_max", n_max, 0)
-    num = rs.num.coeffs
-    den = rs.den.coeffs
-    out: list[int] = []
-    for n in range(n_max + 1):
-        a = num[n] if n < len(num) else 0
-        for m in range(1, min(n, len(den) - 1) + 1):
-            a -= den[m] * out[n - m]
-        out.append(a)
-    return out
+    num, kept = rs.num, []
+    for f in rs.factors:
+        quotient = _exact_quotient(num, f)
+        if quotient is None:
+            kept.append(f)
+        else:
+            num = quotient
+    series = itertools.chain(num.coeffs, itertools.repeat(0))
+    for f in kept:
+        series = _divided(series, f)
+    return list(itertools.islice(series, n_max + 1))
+
+
+def _divided(series, f: Poly):
+    """The coefficients of ``series / f`` (f has constant term 1), lazily;
+    only the last ``deg f`` of them are held."""
+    tail = f.coeffs[:0:-1]  # f_d, ..., f_1
+    recent = collections.deque([0] * len(tail), maxlen=len(tail))
+    for c in series:
+        b = c - sum(map(operator.mul, tail, recent))
+        recent.append(b)
+        yield b
+
+
+def _exact_quotient(num: Poly, f: Poly) -> Poly | None:
+    """``num / f`` if f (constant term 1) divides num in Z[x], else None.
+
+    The first deg num - deg f + 1 coefficients of the series num/f are the
+    quotient; f divides num iff the next deg f, the remainder, are zero.
+    """
+    length = max(len(num.coeffs) - f.degree, 0)
+    series = list(_divided(iter(num.coeffs), f))
+    if any(series[length:]):
+        return None
+    return Poly(*series[:length])
 
 
 def series_equal(a: RationalSeries, b: RationalSeries) -> bool:

@@ -60,6 +60,7 @@ TABLE = {
     "u_poly": (sw.u_poly, (2,), {0: (-3,)}),
     "t_poly": (sw.t_poly, (2,), {0: (-1,)}),
     "theta_poly": (sw.theta_poly, (2,), {0: (-1,)}),
+    "theta_parts": (sw.theta_parts, (2,), {0: (0, -1)}),
     "u_zeros": (sw.u_zeros, (2,), {0: (0,)}),
     "Poly.shift": (POLY.shift, (2,), {0: (-1,)}),
     "Poly.__pow__": (POLY.__pow__, (2,), {0: (-1,)}),

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from smoothwords.chebyshev import Poly, eval_poly, t_poly, theta_poly, u_poly, u_zeros
+from smoothwords.chebyshev import (Poly, eval_poly, t_poly, theta_parts,
+                                   theta_poly, u_poly, u_zeros)
 
 
 def u_at(r, x):
@@ -168,3 +169,24 @@ class TestIdentities:
         for i in range(2, 30):
             assert theta_poly(i) == one_minus_x * theta_poly(i - 1) \
                 - x_sq * theta_poly(i - 2)
+
+    def test_theta_factors_multiply_to_theta(self):
+        # Both parities and the k <= 2 base cases, against theta_k built
+        # here by the Poly recurrence rather than by `theta_poly`.
+        one_minus_x, x_sq = Poly(1, -1), Poly(0, 0, 1)
+        prev, cur = Poly(1), Poly(1, -1)  # theta_0, theta_1
+        for k in range(1, 401):
+            if k > 1:
+                prev, cur = cur, one_minus_x * cur - x_sq * prev
+            th_km1, th_k, factors = theta_parts(k)
+            assert (th_km1, th_k) == (prev, cur), k
+            product = Poly(1)
+            for f in factors:
+                assert f.constant_term() == 1
+                product = product * f
+            assert product == cur, k
+            if k <= 2:
+                assert factors == (cur,)
+            else:
+                assert len(factors) == 2
+                assert max(f.degree for f in factors) <= (k + 1) // 2

@@ -161,6 +161,14 @@ class TestTable:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too large" in err
 
+    @pytest.mark.parametrize("family", ["sw", "scw", "sn"])
+    def test_row_too_large_to_index_exits_2(self, capsys, family):
+        # 10**19 entries overflow a list index before any memory is asked for.
+        code, out, err = run_cli(capsys, "table", family, str(10**19),
+                                 str(10**19), "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too large" in err
+
 
 class TestGf:
     def test_sw3_series_line(self, capsys):

@@ -1,5 +1,6 @@
 """Rational generating functions: closed forms, series extraction, identities."""
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothwords.chebyshev import Poly
 from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
@@ -39,6 +40,31 @@ class TestRationalSeries:
                         for i in range(n + 1)]
         assert series_coeffs(a + 1, n)[0] == ca[0] + 1
 
+    def test_factors_must_multiply_to_den(self):
+        with pytest.raises(ValueError):
+            RationalSeries(Poly(1), Poly(1, -2, -3),
+                           (Poly(1, -3), Poly(1, -1)))
+        with pytest.raises(ValueError):
+            RationalSeries(Poly(1), Poly(1, -2, -3), (Poly(1, -3),))
+
+    def test_factors_ignored_by_equality_and_str(self):
+        plain = rs([1, 1], [1, -2, -3])
+        factored = RationalSeries(plain.num, plain.den,
+                                  (Poly(1, -3), Poly(1, 1)))
+        assert factored == plain and hash(factored) == hash(plain)
+        assert str(factored) == str(plain)
+        assert str(sw_gf(4)) == str(RationalSeries(sw_gf(4).num,
+                                                   sw_gf(4).den))
+
+    def test_negative_constant_term_with_factors(self):
+        # den = -(1 - 3x)(1 + x); each factor is normalized on its own.
+        num, den = Poly(2, 5, -1), Poly(-1, 2, 3)
+        want = series_coeffs(RationalSeries(num, den), 12)
+        for factors in ((Poly(-1, 3), Poly(1, 1)), (Poly(1, -3), Poly(-1, -1))):
+            assert series_coeffs(RationalSeries(num, den, factors), 12) == want
+        # -(2 + 5x - x^2)(1 + 2x + 7x^2 + ...)
+        assert want[:3] == [-2, -9, -23]
+
     def test_str(self):
         assert str(rs([1, 1], [1, -2, -1])) == "(1 + x)/(1 - 2x - x^2)"
         assert str(rs([0, 0, 2], [1])) == "(2x^2)/(1)"
@@ -56,6 +82,27 @@ class TestSeriesCoeffs:
 
     def test_reduced_k3_form(self):
         assert series_coeffs(rs([1, 1], [1, -2, -1]), 5) == [1, 3, 7, 17, 41, 99]
+
+    def test_cancelled_factor(self):
+        # (1 - x) divides the numerator, so only 1 - 3x is divided by.
+        s = RationalSeries(Poly(1, -1) * Poly(2, 1), Poly(1, -1) * Poly(1, -3),
+                           (Poly(1, -1), Poly(1, -3)))
+        assert series_coeffs(s, 4) == [2, 7, 21, 63, 189]
+
+    def test_zero_numerator(self):
+        assert series_coeffs(RationalSeries(Poly(), Poly(1, -3),
+                                            (Poly(1, -3),)), 3) == [0] * 4
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(st.integers(1, 12), st.integers(13, 300)),
+           st.integers(0, 400))
+    @example(250, 400)  # even k: sw keeps one half of theta_k
+    @example(301, 400)  # odd k: theta_{2m+1} = theta_m (theta_{m+1} - ...)
+    def test_factored_matches_single_recurrence(self, k, n):
+        for gf in (sw_gf(k), scw_gf(k)):
+            whole = RationalSeries(gf.num, gf.den)
+            assert whole.factors == (gf.den,)
+            assert series_coeffs(gf, n) == series_coeffs(whole, n)
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
