@@ -10,7 +10,7 @@ validated rounding (`spectral`).
 from .chebyshev import (Poly, eval_poly, t_poly, theta_parts, theta_poly,
                         u_poly, u_zeros)
 from .genfunc import (RationalSeries, scw_gf, series_coeffs, series_equal,
-                      sw_gf, sw_prefix_gf)
+                      sw_gf, sw_prefix_gf, usmani_inverse_entry)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        in_validated_window, residues, round_validated,
                        scw_asymptotic, scw_trig, sn_trig, spectrum,
@@ -18,7 +18,7 @@ from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
 from .transfer import (divisors, matrix_power, matrix_power_apply,
                        necklace_exact, necklace_row, scw_exact,
                        scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
-                       sw_row, totient, transfer_matrix, usmani_inverse_entry)
+                       sw_row, totient, transfer_matrix)
 from .words import (admits, canonical_rotation, count_cyclic_bf,
                     count_necklaces_bf, count_smooth_bf, is_smooth,
                     is_smooth_cyclic)

@@ -93,17 +93,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Poly:
-        check_int("polynomial power", n, 0)
-        result = Poly(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __repr__(self) -> str:
         return f"Poly{self.coeffs}"
 

@@ -13,10 +13,16 @@ success, 1 when ``check`` finds a disagreement, 2 on usage errors and on
 requests too large for memory or for an index, 3 when a spectral request
 falls outside the validated precision window or an ``asymptotics``
 estimate exceeds double range.
+
+Subcommands return 0 or 1 and raise for everything else: `ValueError`,
+`MemoryError` and `OverflowError` for status 2, `PrecisionExhausted` for
+status 3.  `main` alone turns an exception into its status and one
+``error:`` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -29,11 +35,6 @@ OK, CHECK_FAILED, USAGE_ERROR, PRECISION_EXHAUSTED = 0, 1, 2, 3
 ROUND_BUDGET = 0.25
 
 _FORMATS = ("md", "csv", "jsonl")
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 # Each family's function in each pipeline, by name.  `_pipeline` looks the
@@ -56,32 +57,32 @@ def _pipeline(family: str, stage: str):
     return getattr(_MODULES[stage], _FAMILIES[family][stage])
 
 
+def _having(stage: str) -> tuple[str, ...]:
+    """The families with a function in ``stage``."""
+    return tuple(f for f, names in _FAMILIES.items() if stage in names)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     family, n, k, method = args.family, args.n, args.k, args.method
     if method == "auto" or method == "matrix":
         value = _pipeline(family, "exact")(n, k)
     elif method == "bruteforce":
-        if not words.admits(n, k):
-            return _usage(f"brute force rejects n={n} k={k}: "
-                          f"k*3^(n-1) exceeds {words.ENUMERATION_LIMIT}")
         value = _pipeline(family, "bruteforce")(n, k)
     elif method == "gf":
         if "gf" not in _FAMILIES[family]:
-            return _usage("no generating-function pipeline for necklaces")
+            raise ValueError("no generating-function pipeline for necklaces")
         check_int("word length", n, 0)
-        value = genfunc.series_coeffs(_pipeline(family, "gf")(k), n)[n]
+        # Read the n-th coefficient without holding the n before it.
+        series = genfunc._series(_pipeline(family, "gf")(k))
+        value = next(itertools.islice(series, n, None))
     else:  # spectral
         if not spectral.in_validated_window(n, k):
-            print(f"error: spectral method only validated for "
-                  f"1 <= n <= {spectral.WINDOW_N_MAX} and "
-                  f"1 <= k <= {spectral.WINDOW_K_MAX}", file=sys.stderr)
-            return PRECISION_EXHAUSTED
-        try:
-            value = spectral.round_validated(_pipeline(family, "trig")(n, k),
-                                             ROUND_BUDGET)
-        except spectral.PrecisionExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return PRECISION_EXHAUSTED
+            raise spectral.PrecisionExhausted(
+                f"spectral method only validated for "
+                f"1 <= n <= {spectral.WINDOW_N_MAX} and "
+                f"1 <= k <= {spectral.WINDOW_K_MAX}")
+        value = spectral.round_validated(_pipeline(family, "trig")(n, k),
+                                         ROUND_BUDGET)
 
     print(value)
     return OK
@@ -99,18 +100,13 @@ def _merge(positional, flag, default, what: str):
 
 def _cmd_table(args: argparse.Namespace) -> int:
     family = args.family
-    try:
-        k_min = _merge(args.k_min_pos, args.k_min_opt,
-                       1 if family == "sn" else 3, "k-min")
-        k_max = _merge(args.k_max_pos, args.k_max_opt, 7, "k-max")
-        n_max = _merge(args.n_max_pos, args.n_max_opt, 11, "n-max")
-        fmt = _merge(args.format_pos, args.format_opt, "md", "format")
-    except ValueError as exc:
-        return _usage(str(exc))
-    if k_min < 1 or k_min > k_max:
-        return _usage(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
-    if n_max < 0:
-        return _usage(f"n-max must be nonnegative, got {n_max}")
+    k_min = _merge(args.k_min_pos, args.k_min_opt,
+                   1 if family == "sn" else 3, "k-min")
+    k_max = _merge(args.k_max_pos, args.k_max_opt, 7, "k-max")
+    n_max = _merge(args.n_max_pos, args.n_max_opt, 11, "n-max")
+    fmt = _merge(args.format_pos, args.format_opt, "md", "format")
+    check_int("k-min", k_min, 1, k_max)
+    check_int("n-max", n_max, 0)
 
     families = ("sw", "scw") if family == "both" else (family,)
     rows = []  # (family, k, counts for n = 0..n_max)
@@ -153,10 +149,8 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n_max, k_max = args.n_max, args.k_max
-    if n_max < 0:
-        return _usage(f"n-max must be nonnegative, got {n_max}")
-    if k_max < 1:
-        return _usage(f"k-max must be positive, got {k_max}")
+    check_int("n-max", n_max, 0)
+    check_int("k-max", k_max, 1)
 
     comparisons = 0
     mismatches: list[str] = []
@@ -171,7 +165,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for k in range(1, k_max + 1):
         series = {family: genfunc.series_coeffs(_pipeline(family, "gf")(k),
                                                 n_max)
-                  for family, names in _FAMILIES.items() if "gf" in names}
+                  for family in _having("gf")}
         exact = {family: _pipeline(family, "row")(k, n_max)
                  for family in _FAMILIES}
         for n in range(n_max + 1):
@@ -198,12 +192,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     family, k, n = args.family, args.k, args.n
-    if k < 1:
-        return _usage(f"alphabet size must be positive, got {k}")
+    check_int("alphabet size", k, 1)
     if n is None and family != "proportion":
-        return _usage(f"--n is required for family {family}")
-    if n is not None and n < 1:
-        return _usage(f"length must be positive, got {n}")
+        raise ValueError(f"--n is required for family {family}")
+    if n is not None:
+        check_int("word length", n, 1)
     if family == "proportion":
         limit = spectral.cyclic_proportion_limit(k)
         print(f"limit {limit!r}")
@@ -218,9 +211,8 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         estimate = _pipeline(family, "leading")(n, k)
         ratio = estimate / exact
     except OverflowError:
-        print(f"error: {family} estimate at n={n} k={k} exceeds double range",
-              file=sys.stderr)
-        return PRECISION_EXHAUSTED
+        raise spectral.PrecisionExhausted(
+            f"{family} estimate at n={n} k={k} exceeds double range") from None
     print(f"estimate {estimate!r}")
     print(f"exact {exact}")
     print(f"ratio {ratio!r}")
@@ -235,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print one count as a decimal string")
-    p.add_argument("family", choices=("sw", "scw", "sn"))
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--k", type=int, required=True, help="alphabet size")
     p.add_argument("--method", default="auto",
@@ -244,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "table", help="print a grid of counts, rows per k, columns n=0..n-max")
-    p.add_argument("family", choices=("sw", "scw", "sn", "both"))
+    p.add_argument("family", choices=(*_FAMILIES, "both"))
     p.add_argument("k_min_pos", nargs="?", type=int, metavar="K_MIN")
     p.add_argument("k_max_pos", nargs="?", type=int, metavar="K_MAX")
     p.add_argument("n_max_pos", nargs="?", type=int, metavar="N_MAX")
@@ -257,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gf", help="print a generating function and its first 12 coefficients")
-    p.add_argument("family", choices=("sw", "scw"))
+    p.add_argument("family", choices=_having("gf"))
     p.add_argument("--k", type=int, required=True, help="alphabet size")
     p.set_defaults(func=_cmd_gf)
 
@@ -268,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "asymptotics", help="leading-term estimate vs the exact count")
-    p.add_argument("family", choices=("sw", "scw", "proportion"))
+    p.add_argument("family", choices=(*_having("leading"), "proportion"))
     p.add_argument("--k", type=int, required=True, help="alphabet size")
     p.add_argument("--n", type=int, help="word length (optional for proportion)")
     p.set_defaults(func=_cmd_asymptotics)
@@ -288,12 +280,17 @@ def main(argv: list[str] | None = None) -> int:
         return OK if exc.code in (0, None) else USAGE_ERROR
     try:
         return args.func(args)
+    except spectral.PrecisionExhausted as exc:
+        status, message = PRECISION_EXHAUSTED, str(exc)
     except ValueError as exc:
-        return _usage(str(exc))
+        status, message = USAGE_ERROR, str(exc)
     except MemoryError:
-        return _usage(f"{args.command} request too large to hold in memory")
+        status, message = (USAGE_ERROR,
+                           f"{args.command} request too large to hold in memory")
     except OverflowError:  # e.g. a row of 10**19 entries cannot be indexed
-        return _usage(f"{args.command} request too large")
+        status, message = USAGE_ERROR, f"{args.command} request too large"
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 def run() -> None:

@@ -91,8 +91,6 @@ class RationalSeries:
         return RationalSeries(self.num * other.den + other.num * self.den,
                               self.den * other.den)
 
-    __radd__ = __add__
-
     def __sub__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
         return self + (-_as_series(other))
 
@@ -102,8 +100,6 @@ class RationalSeries:
     def __mul__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
         other = _as_series(other)
         return RationalSeries(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
@@ -161,6 +157,17 @@ def scw_gf(k: int) -> RationalSeries:
                           (_ONE_PLUS_X, _ONE_MINUS_3X) + factors)
 
 
+def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:
+    """Entry (i, j) of the inverse of A = I - xM, as a ratio of integer
+    polynomials: x^|j-i| theta_{min-1} theta_{k-max} / theta_k."""
+    check_int("alphabet size", k, 1)
+    check_int("row index", i, 1, k)
+    check_int("column index", j, 1, k)
+    lo, hi = min(i, j), max(i, j)
+    num = (theta_poly(lo - 1) * theta_poly(k - hi)).shift(hi - lo)
+    return RationalSeries(num, theta_poly(k))
+
+
 def sw_prefix_gf(i: int, k: int) -> RationalSeries:
     """Generating function for smooth words starting with the letter ``i``.
 
@@ -182,6 +189,13 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     [1, 3, 9, 27, 81]
     """
     check_int("n_max", n_max, 0)
+    return list(itertools.islice(_series(rs), n_max + 1))
+
+
+def _series(rs: RationalSeries):
+    """Every power-series coefficient of ``rs``, lazily; each division
+    stage holds only its last few values, so reading one coefficient
+    holds none of the ones before it."""
     num, kept = rs.num, []
     for f in rs.factors:
         quotient = _exact_quotient(num, f)
@@ -192,7 +206,7 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     series = itertools.chain(num.coeffs, itertools.repeat(0))
     for f in kept:
         series = _divided(series, f)
-    return list(itertools.islice(series, n_max + 1))
+    return series
 
 
 def _divided(series, f: Poly):

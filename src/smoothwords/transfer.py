@@ -40,8 +40,6 @@ from itertools import islice
 from operator import add, mul
 
 from ._args import check_int
-from .chebyshev import theta_poly
-from .genfunc import RationalSeries
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -303,14 +301,3 @@ def necklace_row(k: int, n_max: int) -> list[int]:
     average of one `scw_row`."""
     cyclic = scw_row(k, n_max)
     return [_burnside(n, cyclic.__getitem__) for n in range(n_max + 1)]
-
-
-def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:
-    """Entry (i, j) of the inverse of A = I - xM, as a ratio of integer
-    polynomials: x^|j-i| theta_{min-1} theta_{k-max} / theta_k."""
-    check_int("alphabet size", k, 1)
-    check_int("row index", i, 1, k)
-    check_int("column index", j, 1, k)
-    lo, hi = min(i, j), max(i, j)
-    num = (theta_poly(lo - 1) * theta_poly(k - hi)).shift(hi - lo)
-    return RationalSeries(num, theta_poly(k))

@@ -38,13 +38,17 @@ def admits(n: int, k: int) -> bool:
     """True iff brute force accepts [k]^n: k * 3^(n-1) <= `ENUMERATION_LIMIT`."""
     check_int("word length", n, 0)
     check_int("alphabet size", k, 1)
-    return n == 0 or k * 3 ** (n - 1) <= ENUMERATION_LIMIT
+    # 3^(n-1) >= 2^(n-1) exceeds the limit once n - 1 reaches its bit
+    # length; testing that first never builds 3^(n-1) for a huge n.
+    return n == 0 or (n <= ENUMERATION_LIMIT.bit_length()
+                      and k * 3 ** (n - 1) <= ENUMERATION_LIMIT)
 
 
 def _validate_instance(n: int, k: int) -> None:
     if not admits(n, k):
         raise ValueError(
-            f"instance too large to enumerate: k*3^(n-1) exceeds {ENUMERATION_LIMIT}")
+            f"brute force rejects n={n} k={k}: "
+            f"k*3^(n-1) exceeds {ENUMERATION_LIMIT}")
 
 
 def is_smooth(word: Sequence[int], k: int) -> bool:

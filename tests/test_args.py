@@ -32,8 +32,6 @@ TABLE = {
                         {0: (0, 4), 1: (0,), 2: (0, 1)}),
     "scw_pair_exact": (sw.scw_pair_exact, (2, 3, 4, 3),
                        {0: (0, 4), 1: (0, 4), 2: (1,), 3: (0, 2)}),
-    "usmani_inverse_entry": (sw.usmani_inverse_entry, (1, 2, 3),
-                             {0: (0, 4), 1: (0, 4), 2: (0, 1)}),
     "divisors": (sw.divisors, (6,), {0: (0, -6)}),
     "totient": (sw.totient, (6,), {0: (0, -6)}),
     "count_smooth_bf": (sw.count_smooth_bf, (3, 3), {0: (-1,), 1: (0,)}),
@@ -56,6 +54,8 @@ TABLE = {
     "sw_gf": (sw.sw_gf, (3,), {0: (0, -1)}),
     "scw_gf": (sw.scw_gf, (3,), {0: (0, -1)}),
     "sw_prefix_gf": (sw.sw_prefix_gf, (2, 3), {0: (0, 4), 1: (0, 1)}),
+    "usmani_inverse_entry": (sw.usmani_inverse_entry, (1, 2, 3),
+                             {0: (0, 4), 1: (0, 4), 2: (0, 1)}),
     "series_coeffs": (sw.series_coeffs, (GF3, 4), {1: (-1,)}),
     "u_poly": (sw.u_poly, (2,), {0: (-3,)}),
     "t_poly": (sw.t_poly, (2,), {0: (-1,)}),
@@ -63,7 +63,6 @@ TABLE = {
     "theta_parts": (sw.theta_parts, (2,), {0: (0, -1)}),
     "u_zeros": (sw.u_zeros, (2,), {0: (0,)}),
     "Poly.shift": (POLY.shift, (2,), {0: (-1,)}),
-    "Poly.__pow__": (POLY.__pow__, (2,), {0: (-1,)}),
 }
 
 

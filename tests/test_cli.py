@@ -269,6 +269,29 @@ class TestAsymptotics:
         assert err.startswith("error:") and "double range" in err
 
 
+# Every error path leaves through `main`: its exit status, nothing on
+# stdout and exactly one `error: ` line on stderr.
+ERROR_PATHS = [
+    (3, "count sw --n 26 --k 3 --method spectral"),  # outside the window
+    (2, "count sw --n 25 --k 3 --method bruteforce"),  # past the guard
+    (2, "count sn --n 3 --k 3 --method gf"),
+    (2, "table sw 3 --k-min 2"),  # positional and flag conflict
+    (2, "table both 9 3 11"),
+    (2, "check --k-max 0"),
+    (2, "asymptotics sw --k 0 --n 5"),
+    (3, "asymptotics sw --k 3 --n 2000"),  # beyond double range
+]
+
+
+@pytest.mark.parametrize("status, argv", ERROR_PATHS,
+                         ids=[argv for _, argv in ERROR_PATHS])
+def test_error_paths_exit_through_main(capsys, status, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (status, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestBinary:
     def test_installed_entry_point_contract(self):
         env_cmd = [sys.executable, "-m", "smoothwords"]

@@ -10,11 +10,11 @@ from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
                                   necklace_exact, necklace_row, scw_exact,
                                   scw_pair_exact, scw_row, sw_exact,
                                   sw_prefix_exact, sw_row, totient,
-                                  transfer_matrix, usmani_inverse_entry)
+                                  transfer_matrix)
 from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
                                count_smooth_bf)
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
-                                 series_equal, sw_gf)
+                                 series_equal, sw_gf, usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
 
 

@@ -175,6 +175,10 @@ class TestCounts:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             count_smooth_bf(20, 3)  # 3 * 3^19 > 1e8
+        with pytest.raises(ValueError, match="brute force rejects n=25 k=3"):
+            count_smooth_bf(25, 3)
+        with pytest.raises(ValueError, match="brute force rejects"):
+            count_cyclic_bf(10**19, 3)  # refused without forming 3^(n-1)
         with pytest.raises(ValueError):
             count_cyclic_bf(18, 50)
         with pytest.raises(ValueError):
