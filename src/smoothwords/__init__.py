@@ -21,7 +21,7 @@ from .transfer import (divisors, matrix_power, matrix_power_apply,
                        sw_row, totient, transfer_matrix)
 from .words import (admits, canonical_rotation, count_cyclic_bf,
                     count_necklaces_bf, count_smooth_bf, is_smooth,
-                    is_smooth_cyclic)
+                    is_smooth_cyclic, necklace_row_bf, scw_row_bf, sw_row_bf)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "eval_poly", "u_zeros",
     "is_smooth", "is_smooth_cyclic", "canonical_rotation",
     "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf", "admits",
+    "sw_row_bf", "scw_row_bf", "necklace_row_bf",
     "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",

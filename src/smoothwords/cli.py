@@ -37,17 +37,17 @@ ROUND_BUDGET = 0.25
 _FORMATS = ("md", "csv", "jsonl")
 
 
-# Each family's function in each pipeline, by name.  `_pipeline` looks the
-# name up on every call, so a patched or wrapped module attribute is the
-# one that runs.  Necklaces have no generating function.
+# Each family's function in each pipeline, by name; "row" and "bruteforce"
+# take (k, n_max) and return the counts for n = 0..n_max.  `_pipeline`
+# looks the name up on every call, so a patched or wrapped module attribute
+# is the one that runs.  Necklaces have no generating function.
 _FAMILIES = {
-    "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "count_smooth_bf",
+    "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_row_bf",
            "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf"},
-    "scw": {"exact": "scw_exact", "row": "scw_row",
-            "bruteforce": "count_cyclic_bf", "trig": "scw_trig",
-            "leading": "scw_asymptotic", "gf": "scw_gf"},
+    "scw": {"exact": "scw_exact", "row": "scw_row", "bruteforce": "scw_row_bf",
+            "trig": "scw_trig", "leading": "scw_asymptotic", "gf": "scw_gf"},
     "sn": {"exact": "necklace_exact", "row": "necklace_row",
-           "bruteforce": "count_necklaces_bf", "trig": "sn_trig"},
+           "bruteforce": "necklace_row_bf", "trig": "sn_trig"},
 }
 _MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
             "trig": spectral, "leading": spectral, "gf": genfunc}
@@ -67,11 +67,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method == "auto" or method == "matrix":
         value = _pipeline(family, "exact")(n, k)
     elif method == "bruteforce":
-        value = _pipeline(family, "bruteforce")(n, k)
+        value = _pipeline(family, "bruteforce")(k, n)[n]
     elif method == "gf":
         if "gf" not in _FAMILIES[family]:
             raise ValueError("no generating-function pipeline for necklaces")
-        check_int("word length", n, 0)
+        check_int("word length", n, 0, sys.maxsize)  # islice's index bound
         # Read the n-th coefficient without holding the n before it.
         series = genfunc._series(_pipeline(family, "gf")(k))
         value = next(itertools.islice(series, n, None))
@@ -168,14 +168,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
                   for family in _having("gf")}
         exact = {family: _pipeline(family, "row")(k, n_max)
                  for family in _FAMILIES}
+        # Brute force covers the lengths `admits` accepts, 0..depth.  It is
+        # monotone in n and false past the guard's bit length, so this loop
+        # stops within a few dozen steps at any n_max.
+        depth = 0
+        while depth < n_max and words.admits(depth + 1, k):
+            depth += 1
+        brute = {family: _pipeline(family, "bruteforce")(k, depth)
+                 for family in _FAMILIES}
         for n in range(n_max + 1):
             for family in _FAMILIES:
                 want = exact[family][n]
                 if family in series:
                     compare(family, n, k, "gf", series[family][n], want)
-                if words.admits(n, k):
-                    compare(family, n, k, "bruteforce",
-                            _pipeline(family, "bruteforce")(n, k), want)
+                if n <= depth:
+                    compare(family, n, k, "bruteforce", brute[family][n], want)
                 if spectral.in_validated_window(n, k):
                     try:
                         got = spectral.round_validated(

@@ -6,23 +6,27 @@ cyclic* when additionally the last and first letters differ by at most 1.
 
 Counting here is enumeration, so every counted object is visited once
 and the counts stay independent of the matrix, generating-function and
-spectral pipelines they cross-check.  Smooth and smooth cyclic words are
-the leaves of one depth-first extension of smooth prefixes (each next
-letter is one of {c-1, c, c+1} clipped to the alphabet).  Smooth
-necklaces are generated once each, as least rotations, by FKM
-prenecklace generation pruned to smooth prefixes; no rotation of any
-other word is formed.  An instance guard rejects enumerations beyond
-~1e8 words.
+spectral pipelines they cross-check.  Each oracle yields a whole row,
+every length n = 0..n_max at one k, from one enumeration: smooth and
+smooth cyclic words are the nodes of one depth-first extension of smooth
+prefixes (each next letter is one of {c-1, c, c+1} clipped to the
+alphabet), and every node at depth n is counted at length n, not only
+the leaves.  Smooth necklaces are generated once each, as least
+rotations, by FKM prenecklace generation pruned to smooth prefixes; no
+rotation of any other word is formed.  A single count is one entry of
+its row.  An instance guard rejects enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from ._args import check_int
 
 Word = tuple[int, ...]
 
-# DFS visits at most k * 3^(n-1) words; refuse anything past this.
+# A row to depth n visits at most k * 3^(n-1) words of length n (and half
+# as many shorter ones); refuse anything past this.
 ENUMERATION_LIMIT = 10**8
 
 
@@ -109,68 +113,95 @@ def canonical_rotation(word: Sequence[int]) -> Word:
     return w[s:] + w[:s]
 
 
-def _count_walks(n: int, k: int, cyclic: bool) -> int:
-    """Smooth (or smooth cyclic) words in [k]^n, counted one leaf per word.
+@functools.lru_cache(maxsize=1)
+def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Smooth and smooth cyclic word counts in [k]^n for n = 0..n_max, one
+    count per node of one depth-first walk (arguments already validated).
 
-    No memoisation: every counted word is a leaf of the recursion, which
-    keeps this an enumeration rather than the transfer DP it checks.
+    No memoisation inside the walk: every counted word is a node of the
+    recursion, which keeps this an enumeration rather than the transfer DP
+    it checks.  The cache holds the last pair of rows, so the `sw` and
+    `scw` rows of one alphabet come from the same walk.
     """
-    _validate_instance(n, k)
-    if n == 0:
-        return 1
+    smooth = [1] + [0] * n_max
+    cyclic = [1] + [0] * n_max
 
-    def extend(first: int, c: int, length: int) -> int:
-        if length == n:
-            return 1 if not cyclic or abs(c - first) <= 1 else 0
-        length += 1
-        total = extend(first, c, length)
-        if c > 1:
-            total += extend(first, c - 1, length)
-        if c < k:
-            total += extend(first, c + 1, length)
-        return total
+    def visit(first: int, c: int, length: int) -> None:
+        smooth[length] += 1
+        if -1 <= c - first <= 1:
+            cyclic[length] += 1
+        if length < n_max:
+            length += 1
+            visit(first, c, length)
+            if c > 1:
+                visit(first, c - 1, length)
+            if c < k:
+                visit(first, c + 1, length)
 
-    return sum(extend(first, first, 1) for first in range(1, k + 1))
-
-
-def count_smooth_bf(n: int, k: int) -> int:
-    """Number of smooth words in [k]^n, by depth-first extension."""
-    return _count_walks(n, k, cyclic=False)
+    if n_max:
+        for first in range(1, k + 1):
+            visit(first, first, 1)
+    return tuple(smooth), tuple(cyclic)
 
 
-def count_cyclic_bf(n: int, k: int) -> int:
-    """Number of smooth cyclic words in [k]^n, by depth-first extension."""
-    return _count_walks(n, k, cyclic=True)
+def sw_row_bf(k: int, n_max: int) -> list[int]:
+    """Smooth words in [k]^n for n = 0..n_max, by depth-first extension."""
+    _validate_instance(n_max, k)
+    return list(_word_rows(k, n_max)[0])
 
 
-def count_necklaces_bf(n: int, k: int) -> int:
-    """Number of smooth necklaces in [k]^n, generating each one once.
+def scw_row_bf(k: int, n_max: int) -> list[int]:
+    """Smooth cyclic words in [k]^n for n = 0..n_max, by depth-first
+    extension: the words of `sw_row_bf` whose wrap gap is at most 1."""
+    _validate_instance(n_max, k)
+    return list(_word_rows(k, n_max)[1])
+
+
+def necklace_row_bf(k: int, n_max: int) -> list[int]:
+    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one once.
 
     FKM prenecklace generation (Fredricksen-Kessler-Maiorana; Ruskey,
     Savage and Wang, J. Algorithms 13 (1992)) pruned to smooth prefixes:
-    a[t] runs over max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1), p is the
-    period of the prenecklace a[1..t], and a leaf counts iff p divides n
-    (a necklace) and |a[n] - a[1]| <= 1.  The pruning is exact because every prefix of a smooth
-    cyclic word's least rotation is both a prenecklace and smooth.
+    a[t] runs over max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1), where p is
+    the period of the prenecklace a[1..t-1].  A node a[1..t] counts at
+    length t iff its period divides t (a necklace) and |a[t] - a[1]| <= 1.
+    The pruning is exact because every prefix of a smooth cyclic word's
+    least rotation is both a prenecklace and smooth; the extension rule
+    does not depend on the target length, so the tree to depth n_max holds
+    every shorter smooth prenecklace too.
     """
-    _validate_instance(n, k)
-    if n == 0:
-        return 1
-    a = [0] * (n + 1)  # a[1..n]; a[0] unused
+    _validate_instance(n_max, k)
+    row = [1] + [0] * n_max
+    a = [0] * (n_max + 1)  # a[1..t]; a[0] unused
 
-    def extend(t: int, p: int) -> int:
-        if t > n:
-            return 1 if n % p == 0 and abs(a[n] - a[1]) <= 1 else 0
-        prev = a[t - 1]
-        repeat = a[t - p]
-        total = 0
-        for c in range(max(repeat, prev - 1), min(k, prev + 1) + 1):
-            a[t] = c
-            total += extend(t + 1, p if c == repeat else t)
-        return total
+    def visit(t: int, p: int) -> None:
+        if t % p == 0 and -1 <= a[t] - a[1] <= 1:
+            row[t] += 1
+        if t < n_max:
+            prev = a[t]
+            t += 1
+            repeat = a[t - p]
+            for c in range(max(repeat, prev - 1), min(k, prev + 1) + 1):
+                a[t] = c
+                visit(t, p if c == repeat else t)
 
-    total = 0
-    for first in range(1, k + 1):
-        a[1] = first
-        total += extend(2, 1)
-    return total
+    if n_max:
+        for first in range(1, k + 1):
+            a[1] = first
+            visit(1, 1)
+    return row
+
+
+def count_smooth_bf(n: int, k: int) -> int:
+    """Number of smooth words in [k]^n: entry n of `sw_row_bf`."""
+    return sw_row_bf(k, n)[n]
+
+
+def count_cyclic_bf(n: int, k: int) -> int:
+    """Number of smooth cyclic words in [k]^n: entry n of `scw_row_bf`."""
+    return scw_row_bf(k, n)[n]
+
+
+def count_necklaces_bf(n: int, k: int) -> int:
+    """Number of smooth necklaces in [k]^n: entry n of `necklace_row_bf`."""
+    return necklace_row_bf(k, n)[n]

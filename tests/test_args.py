@@ -37,6 +37,9 @@ TABLE = {
     "count_smooth_bf": (sw.count_smooth_bf, (3, 3), {0: (-1,), 1: (0,)}),
     "count_cyclic_bf": (sw.count_cyclic_bf, (3, 3), {0: (-1,), 1: (0,)}),
     "count_necklaces_bf": (sw.count_necklaces_bf, (3, 3), {0: (-1,), 1: (0,)}),
+    "sw_row_bf": (sw.sw_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
+    "scw_row_bf": (sw.scw_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
+    "necklace_row_bf": (sw.necklace_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
     "admits": (sw.admits, (3, 3), {0: (-1,), 1: (0,)}),
     "is_smooth": (sw.is_smooth, ((1, 2), 3), {1: (0, 1)}),
     "is_smooth letter": (lambda letter, k: sw.is_smooth((1, letter), k),

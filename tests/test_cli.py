@@ -1,4 +1,5 @@
 """Command-line interface: outputs, formats, and the exit-status contract."""
+import functools
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothwords import cli, transfer, words
+from smoothwords import cli, spectral, transfer, words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +89,9 @@ class TestCount:
                                          "--method", method)
                 assert (code, out) == (2, "")
                 assert name in err
+        err = run_cli(capsys, "count", "sw", "--n", str(10**19), "--k", "3",
+                      "--method", "gf")[2]
+        assert err.startswith("error: word length must be in 0..")
 
 
 class TestTable:
@@ -208,12 +212,45 @@ class TestCheck:
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # An off-by-one wrap condition would inflate the cyclic brute force.
-        real = words.count_cyclic_bf
-        monkeypatch.setattr(words, "count_cyclic_bf",
-                            lambda n, k: real(n, k) + (1 if n >= 2 else 0))
+        real = words.scw_row_bf
+        monkeypatch.setattr(words, "scw_row_bf", lambda k, n_max: [
+            c + (1 if n >= 2 else 0) for n, c in enumerate(real(k, n_max))])
         code, out, _ = run_cli(capsys, "check", "--n-max", "5", "--k-max", "3")
         assert code == 1
         assert "MISMATCH family=scw" in out
+
+    def test_one_walk_per_alphabet(self, capsys, monkeypatch):
+        # Every length comes from one word walk (shared by sw and scw) and
+        # one FKM walk per k, not from a walk per cell.
+        word_walks, necklace_walks = [], []
+        real_words, real_necklaces = words._word_rows, words.necklace_row_bf
+
+        def count_words(k, n_max):
+            word_walks.append(k)
+            return real_words.__wrapped__(k, n_max)
+
+        def count_necklaces(k, n_max):
+            necklace_walks.append(k)
+            return real_necklaces(k, n_max)
+
+        monkeypatch.setattr(words, "_word_rows",
+                            functools.lru_cache(maxsize=1)(count_words))
+        monkeypatch.setattr(words, "necklace_row_bf", count_necklaces)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "9", "--k-max", "5")
+        assert code == 0 and out.endswith(" cross-checks, 0 mismatches\n")
+        assert word_walks == necklace_walks == [1, 2, 3, 4, 5]
+
+    def test_rows_stop_at_the_guard(self, capsys, monkeypatch):
+        # With a small guard the rows end early at every k; a row past the
+        # guard would raise, and a cell past the row would be miscounted.
+        monkeypatch.setattr(words, "ENUMERATION_LIMIT", 300)
+        cells = [(n, k) for n in range(10) for k in range(1, 6)]
+        assert not all(words.admits(n, k) for n, k in cells)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "9", "--k-max", "5")
+        expected = sum(2 + 3 * words.admits(n, k)
+                       + 3 * spectral.in_validated_window(n, k)
+                       for n, k in cells)
+        assert (code, out) == (0, f"{expected} cross-checks, 0 mismatches\n")
 
     def test_bad_bounds(self, capsys):
         assert run_cli(capsys, "check", "--n-max", "-1", "--k-max", "3")[0] == 2
@@ -275,6 +312,7 @@ ERROR_PATHS = [
     (3, "count sw --n 26 --k 3 --method spectral"),  # outside the window
     (2, "count sw --n 25 --k 3 --method bruteforce"),  # past the guard
     (2, "count sn --n 3 --k 3 --method gf"),
+    (2, "count sw --n 10000000000000000000 --k 3 --method gf"),  # past islice
     (2, "table sw 3 --k-min 2"),  # positional and flag conflict
     (2, "table both 9 3 11"),
     (2, "check --k-max 0"),

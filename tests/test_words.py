@@ -9,7 +9,8 @@ from smoothwords.transfer import (necklace_exact, necklace_row, scw_row,
                                   sw_row)
 from smoothwords.words import (canonical_rotation, count_cyclic_bf,
                                count_necklaces_bf, count_smooth_bf,
-                               is_smooth, is_smooth_cyclic)
+                               is_smooth, is_smooth_cyclic, necklace_row_bf,
+                               scw_row_bf, sw_row_bf)
 
 
 def naive_canonical(word):
@@ -166,6 +167,34 @@ class TestCounts:
         assert count_cyclic_bf(n, k) == scw_row(k, n)[n]
         assert count_necklaces_bf(n, k) == necklace_row(k, n)[n]
 
+    def test_rows_match_walk_rows(self):
+        # Every length of one enumeration, against the transfer rows; a
+        # single count is the last entry of its row.
+        for k in range(1, 7):
+            for n_max in range(12):
+                rows = [(sw_row_bf(k, n_max), sw_row(k, n_max),
+                         count_smooth_bf),
+                        (scw_row_bf(k, n_max), scw_row(k, n_max),
+                         count_cyclic_bf),
+                        (necklace_row_bf(k, n_max), necklace_row(k, n_max),
+                         count_necklaces_bf)]
+                for brute, walk, count in rows:
+                    assert brute == walk
+                    assert count(n_max, k) == brute[n_max]
+
+    def test_rows_validate_before_the_cache(self):
+        # 3.0 == 3 and True == 1 as cache keys; neither may reach a row.
+        assert sw_row_bf(3, 4) == [1, 3, 7, 17, 41]
+        assert scw_row_bf(1, 4) == [1, 1, 1, 1, 1]
+        with pytest.raises(ValueError):
+            sw_row_bf(3.0, 4)
+        with pytest.raises(ValueError):
+            scw_row_bf(True, 4)
+        # Callers get a fresh list; changing it leaves the next answer alone.
+        row = scw_row_bf(3, 4)
+        row[4] = 0
+        assert scw_row_bf(3, 4) == scw_row(3, 4)
+
     def test_small_alphabets_count_everything(self):
         for k in (1, 2):
             for n in range(13):
@@ -177,6 +206,8 @@ class TestCounts:
             count_smooth_bf(20, 3)  # 3 * 3^19 > 1e8
         with pytest.raises(ValueError, match="brute force rejects n=25 k=3"):
             count_smooth_bf(25, 3)
+        with pytest.raises(ValueError, match="brute force rejects n=20 k=3"):
+            necklace_row_bf(3, 20)  # a row is guarded by its last length
         with pytest.raises(ValueError, match="brute force rejects"):
             count_cyclic_bf(10**19, 3)  # refused without forming 3^(n-1)
         with pytest.raises(ValueError):
