@@ -9,8 +9,9 @@ validated rounding (`spectral`).
 
 from .chebyshev import (Poly, eval_poly, t_poly, theta_parts, theta_poly,
                         u_poly, u_zeros)
-from .genfunc import (RationalSeries, scw_gf, series_coeffs, series_equal,
-                      sw_gf, sw_prefix_gf, usmani_inverse_entry)
+from .genfunc import (RationalSeries, scw_gf, series_coefficient,
+                      series_coeffs, series_equal, sw_gf, sw_prefix_gf,
+                      usmani_inverse_entry)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        in_validated_window, residues, round_validated,
                        scw_asymptotic, scw_trig, sn_trig, spectrum,
@@ -36,7 +37,8 @@ __all__ = [
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",
     "totient", "divisors", "usmani_inverse_entry",
-    "sw_gf", "scw_gf", "sw_prefix_gf", "series_coeffs", "series_equal",
+    "sw_gf", "scw_gf", "sw_prefix_gf", "series_coeffs", "series_coefficient",
+    "series_equal",
     "spectrum", "sw_trig", "scw_trig", "sn_trig", "residues",
     "round_validated", "in_validated_window",
     "sw_asymptotic", "scw_asymptotic", "cyclic_proportion_limit",

@@ -22,7 +22,6 @@ status 3.  `main` alone turns an exception into its status and one
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -71,10 +70,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif method == "gf":
         if "gf" not in _FAMILIES[family]:
             raise ValueError("no generating-function pipeline for necklaces")
-        check_int("word length", n, 0, sys.maxsize)  # islice's index bound
-        # Read the n-th coefficient without holding the n before it.
-        series = genfunc._series(_pipeline(family, "gf")(k))
-        value = next(itertools.islice(series, n, None))
+        value = genfunc.series_coefficient(_pipeline(family, "gf")(k), n)
     else:  # spectral
         if not spectral.in_validated_window(n, k):
             raise spectral.PrecisionExhausted(

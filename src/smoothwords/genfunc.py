@@ -23,6 +23,18 @@ one after another in a single pass over n, each by the linear recurrence
 ``b_n = c_n - sum_{m>=1} f_m b_{n-m}`` in exact big integers, holding
 only its last deg f values.  No polynomial GCD machinery is needed.
 
+`series_coefficient` reads a single coefficient n.  Below
+``_JUMP_OVER_DEGREE * d``, with d the degree of the factors kept, it walks
+the same series, at n d big-integer products.  From there on it jumps by
+Fiduccia's method (C. M. Fiduccia, SIAM J. Comput. 14 (1985)): past
+T = max(deg num + 1, d) the coefficients obey the order-d recurrence of
+the kept denominator F, so with chi = x^d F(1/x), monic since F(0) = 1,
+``b_n = sum_i r_i b_{T-d+i}`` for r = x^(n-T+d) mod chi.  r comes from
+binary powering.  Each square packs r into one integer in fixed-width
+signed slots (Kronecker substitution; D. Harvey, J. Symb. Comput. 44
+(2009)), so CPython's Karatsuba multiplies it, and each reduction mod chi
+is d rows of d big-by-small products: about d^2 log n products in all.
+
 `sw_gf` and `scw_gf` pass their leading factors and the two halves of
 theta_k from `theta_parts`, each of about half the degree of theta_k.
 Since ``1^T M^n 1`` sees only the mirror-symmetric eigenvectors of the
@@ -39,12 +51,21 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 
 from ._args import check_int
 from .chebyshev import Poly, theta_parts, theta_poly
 
 _ONE_MINUS_3X = Poly(1, -3)
 _ONE_PLUS_X = Poly(1, 1)
+
+# `series_coefficient` jumps from n = _JUMP_OVER_DEGREE * d on, d the
+# degree kept.  Fitted from timings (best of 3, Python 3.11, 2 cores) of
+# the lazy series against the jump at n/d = 4..30: the last n/d where the
+# lazy series won and the first from which the jump did were 6/8 for sw
+# k=250 (d=125), 10/12 for sw k=40 (d=20), 12/14 for scw k=120 (d=120),
+# 10/12 for scw k=300 (d=300) and 6/8 for scw k=30 (d=30).
+_JUMP_OVER_DEGREE = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,13 +210,38 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     [1, 3, 9, 27, 81]
     """
     check_int("n_max", n_max, 0)
-    return list(itertools.islice(_series(rs), n_max + 1))
+    return list(itertools.islice(_series(*_cancelled(rs)), n_max + 1))
 
 
-def _series(rs: RationalSeries):
-    """Every power-series coefficient of ``rs``, lazily; each division
-    stage holds only its last few values, so reading one coefficient
-    holds none of the ones before it."""
+def series_coefficient(rs: RationalSeries, n: int) -> int:
+    """Power-series coefficient ``n`` of ``rs``, exactly.
+
+    Below ``_JUMP_OVER_DEGREE * d``, with d the degree of the denominator
+    factors the numerator does not cancel, it reads the lazy series and
+    holds none of the coefficients before n.  From there on it reads only
+    the first T = max(deg num + 1, d) coefficients and jumps to n by
+    Fiduccia's method (see the module docstring).
+
+    >>> series_coefficient(RationalSeries(Poly(1), Poly(1, -3)), 100) == 3**100
+    True
+    """
+    check_int("word length", n, 0, sys.maxsize)
+    num, kept = _cancelled(rs)
+    d = sum(f.degree for f in kept)
+    head = max(len(num.coeffs), d)
+    series = _series(num, kept)
+    if n < max(head, _JUMP_OVER_DEGREE * d):
+        return next(itertools.islice(series, n, None))
+    if not d:  # the series is the numerator, a polynomial of degree < n
+        return 0
+    window = list(itertools.islice(series, head))[head - d:]
+    low = math.prod(kept, start=Poly(1)).coeffs[:0:-1]
+    return sum(map(operator.mul, _x_power_mod(n - head + d, low), window))
+
+
+def _cancelled(rs: RationalSeries) -> tuple[Poly, list[Poly]]:
+    """The numerator of ``rs`` divided by every denominator factor that
+    divides it exactly, and the factors that do not."""
     num, kept = rs.num, []
     for f in rs.factors:
         quotient = _exact_quotient(num, f)
@@ -203,6 +249,13 @@ def _series(rs: RationalSeries):
             kept.append(f)
         else:
             num = quotient
+    return num, kept
+
+
+def _series(num: Poly, kept: list[Poly]):
+    """Every power-series coefficient of ``num / prod(kept)``, lazily; each
+    division stage holds only its last few values, so reading one
+    coefficient holds none of the ones before it."""
     series = itertools.chain(num.coeffs, itertools.repeat(0))
     for f in kept:
         series = _divided(series, f)
@@ -237,3 +290,66 @@ def series_equal(a: RationalSeries, b: RationalSeries) -> bool:
     """True iff the two ratios denote the same series (cross-multiplied,
     so unreduced common factors do not matter)."""
     return a.num * b.den == b.num * a.den
+
+
+def _x_power_mod(e: int, low: list[int]) -> list[int]:
+    """Coefficients of x^e mod chi, chi = x^d + sum_j low[j] x^j (d >= 1),
+    by left-to-right binary powering from the longest prefix of e below d."""
+    d = len(low)
+    top = 0
+    while e >> top >= d:
+        top += 1
+    r = [0] * d
+    r[e >> top] = 1
+    for bit in range(top - 1, -1, -1):
+        r = _reduced(_square(r), low)
+        if e >> bit & 1:
+            c = r[-1]
+            r = [-c * low[0], *map(operator.sub, r, map(c.__mul__, low[1:]))]
+    return r
+
+
+def _reduced(s: list[int], low: list[int]) -> list[int]:
+    """``s`` (ascending coefficients) mod chi, in place, one row per
+    degree i >= d: x^i = -sum_j low[j] x^(i-d+j), d big-by-small products."""
+    d = len(low)
+    for i in range(len(s) - 1, d - 1, -1):
+        c = s.pop()
+        if c:
+            s[i - d:] = map(operator.sub, s[i - d:], map(c.__mul__, low))
+    return s
+
+
+def _square(r: list[int]) -> list[int]:
+    """Coefficients of r(x)^2 from one integer square: the slots are wide
+    enough for |coefficient| <= d * max|r_i|^2 with a sign bit to spare."""
+    bits = 2 * max(map(int.bit_length, r)) + len(r).bit_length() + 1
+    width = -(-bits // 8)
+    packed = _pack(r, width)
+    packed *= packed  # frees the factor before the slots are read
+    return _unpack(packed, 2 * len(r) - 1, width)
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_i coeffs[i] * 256^(width*i); needs |coeffs[i]| < 2^(8*width-1).
+
+    Each slot holds coeffs[i] plus the bias 2^(8*width-1), so every slot
+    is a nonnegative byte string; subtracting the biases afterwards takes
+    one big subtraction instead of a borrow per slot."""
+    bias = 1 << (8 * width - 1)
+    raw = b"".join((c + bias).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _biases(len(coeffs), width)
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The ``count`` signed slots of ``value``, the inverse of `_pack`."""
+    raw = (value + _biases(count, width)).to_bytes(count * width, "little")
+    bias = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i:i + width], "little") - bias
+            for i in range(0, count * width, width)]
+
+
+def _biases(count: int, width: int) -> int:
+    """The bias 2^(8*width-1) in each of ``count`` slots."""
+    return int.from_bytes(
+        (1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")

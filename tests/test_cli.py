@@ -312,7 +312,7 @@ ERROR_PATHS = [
     (3, "count sw --n 26 --k 3 --method spectral"),  # outside the window
     (2, "count sw --n 25 --k 3 --method bruteforce"),  # past the guard
     (2, "count sn --n 3 --k 3 --method gf"),
-    (2, "count sw --n 10000000000000000000 --k 3 --method gf"),  # past islice
+    (2, "count sw --n 10000000000000000000 --k 3 --method gf"),  # > maxsize
     (2, "table sw 3 --k-min 2"),  # positional and flag conflict
     (2, "table both 9 3 11"),
     (2, "check --k-max 0"),

@@ -1,11 +1,18 @@
 """Rational generating functions: closed forms, series extraction, identities."""
+import ast
+import math
+import pathlib
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smoothwords import chebyshev, genfunc
 from smoothwords.chebyshev import Poly
 from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
-                                 series_coeffs, series_equal, sw_gf,
-                                 sw_prefix_gf)
+                                 series_coefficient, series_coeffs,
+                                 series_equal, sw_gf, sw_prefix_gf,
+                                 usmani_inverse_entry)
 from smoothwords.transfer import scw_exact, sw_exact, sw_prefix_exact
 
 
@@ -107,6 +114,130 @@ class TestSeriesCoeffs:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             series_coeffs(sw_gf(3), -1)
+
+
+def _signed(width, size):
+    return st.lists(st.integers(-width, width), min_size=size, max_size=size)
+
+
+@st.composite
+def _synthetic_series(draw):
+    """num / prod(factors), signed coefficients, the numerator often longer
+    than the denominator; it may be divisible by some or all factors."""
+    factors = [Poly(draw(st.sampled_from((1, -1))), *draw(_signed(9, deg)))
+               for deg in draw(st.lists(st.integers(0, 4), min_size=1,
+                                        max_size=3))]
+    num = Poly(*draw(_signed(50, draw(st.integers(0, 16)))))
+    for f in factors:
+        if draw(st.booleans()):
+            num = num * f
+    return RationalSeries(num, math.prod(factors, start=Poly(1)),
+                          tuple(factors))
+
+
+@st.composite
+def _paper_series(draw):
+    k = draw(st.integers(1, 24))
+    i, j = draw(st.integers(1, k)), draw(st.integers(1, k))
+    return draw(st.sampled_from((sw_gf(k), scw_gf(k), sw_prefix_gf(i, k),
+                                 usmani_inverse_entry(i, j, k))))
+
+
+# num of degree 30 over a denominator of degree d = 2: C*d = 24 is below
+# T = 31, so T-1 is read lazily and T, T+d-1 = 32 (r = x^(2d-1) mod chi)
+# and T+d = 33 (r = x^(2d) mod chi) are jumped to.
+_LONG_NUM = RationalSeries(Poly(*range(-15, 16)), Poly(1, -1, -1))
+# Every factor cancels: d = 0, and the series is the numerator.
+_CANCELLED = RationalSeries(Poly(2, -3, 5) * Poly(1, -3) * Poly(1, 1),
+                            Poly(1, -3) * Poly(1, 1), (Poly(1, -3), Poly(1, 1)))
+_SW40_EDGE = genfunc._JUMP_OVER_DEGREE * 20  # sw k=40 keeps degree 20
+
+
+class TestSeriesCoefficient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_paper_series(), _synthetic_series()),
+           st.integers(0, 400), st.sampled_from((0, None)))
+    @example(_LONG_NUM, 30, None)
+    @example(_LONG_NUM, 31, None)
+    @example(_LONG_NUM, 32, None)
+    @example(_LONG_NUM, 33, None)
+    @example(_CANCELLED, 2, None)
+    @example(_CANCELLED, 3, None)
+    @example(_CANCELLED, 400, 0)
+    @example(sw_gf(40), _SW40_EDGE - 1, None)
+    @example(sw_gf(40), _SW40_EDGE, None)
+    @example(scw_gf(7), 200, 0)
+    def test_matches_series(self, rs, n, threshold):
+        # threshold 0 jumps from T on; None keeps the fitted constant.
+        if threshold is None:
+            threshold = genfunc._JUMP_OVER_DEGREE
+        with mock.patch.object(genfunc, "_JUMP_OVER_DEGREE", threshold):
+            assert series_coefficient(rs, n) == series_coeffs(rs, n)[n]
+
+    def test_deep_coefficient(self):
+        assert series_coefficient(RationalSeries(Poly(1), Poly(1, -3)),
+                                  5000) == 3**5000
+        assert series_coefficient(sw_gf(3), 2000) == sw_exact(2000, 3)
+
+    def test_rejects_bad_length(self):
+        for n in (-1, 2.0, True):
+            with pytest.raises(ValueError, match="word length"):
+                series_coefficient(sw_gf(3), n)
+        with pytest.raises(ValueError, match="word length must be in 0.."):
+            series_coefficient(sw_gf(3), 10**19)
+
+
+def _schoolbook_square(r):
+    out = [0] * (2 * len(r) - 1)
+    for i, a in enumerate(r):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
+
+
+class TestPackedSquare:
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [
+        [0], [1], [-1], ["top"], ["-top"], [0, 0, 0], [1, -1, 1, -1],
+        ["top", "-top"], ["-top", "top"], ["top", "top", "-top", "-top"],
+        [0, "-top", 0, "top", 0], ["-top", -1, 0, 1, "top"]])
+    def test_round_trip(self, width, shape):
+        top = 2 ** (8 * width - 1) - 1
+        coeffs = [{"top": top, "-top": -top}.get(c, c) for c in shape]
+        assert genfunc._unpack(genfunc._pack(coeffs, width), len(coeffs),
+                               width) == coeffs
+
+    @pytest.mark.parametrize("r", [
+        [0], [1], [-1], [7], [0, 0, 0], [1, -1, 1, -1],
+        [255] * 3, [-255] * 4, [2**64 - 1, -(2**64 - 1)],
+        # The middle slot is d * M^2, and 2 * bits(M) + bits(d) is a whole
+        # number of bytes: a slot without its spare sign bit overflows.
+        [7, 7, 7], [-7, 7, -7], [2**63 - 1] * 3,
+        [-(2**100 - 1), 0, 2**100 - 1, 1, -1],
+        [3**200, -(5**80), 0, 0, 1]])
+    def test_square_is_schoolbook(self, r):
+        assert genfunc._square(list(r)) == _schoolbook_square(r)
+
+
+def _imported_names(path):
+    """Every module name component an import statement of ``path`` uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", [genfunc, chebyshev])
+def test_gf_pipeline_imports_no_other_engine(module):
+    # The series is an independent cross-check of the transfer engines, so
+    # it shares no code with them, with brute force or with the spectral sums.
+    names = _imported_names(pathlib.Path(module.__file__))
+    assert not names & {"transfer", "words", "spectral"}
 
 
 class TestSeriesEqual:
