@@ -22,6 +22,7 @@ status 3.  `main` alone turns an exception into its status and one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -70,6 +71,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif method == "gf":
         if "gf" not in _FAMILIES[family]:
             raise ValueError("no generating-function pipeline for necklaces")
+        # `series_coefficient` checks n too, but only after the build, which
+        # can take seconds at a large k; a bad length must not wait for it.
+        check_int("word length", n, 0, sys.maxsize)
         value = genfunc.series_coefficient(_pipeline(family, "gf")(k), n)
     else:  # spectral
         if not spectral.in_validated_window(n, k):
@@ -222,6 +226,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache  # parsing leaves the parser as it was; build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothwords",

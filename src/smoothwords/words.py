@@ -7,14 +7,19 @@ cyclic* when additionally the last and first letters differ by at most 1.
 Counting here is enumeration, so every counted object is visited once
 and the counts stay independent of the matrix, generating-function and
 spectral pipelines they cross-check.  Each oracle yields a whole row,
-every length n = 0..n_max at one k, from one enumeration: smooth and
-smooth cyclic words are the nodes of one depth-first extension of smooth
-prefixes (each next letter is one of {c-1, c, c+1} clipped to the
-alphabet), and every node at depth n is counted at length n, not only
-the leaves.  Smooth necklaces are generated once each, as least
-rotations, by FKM prenecklace generation pruned to smooth prefixes; no
-rotation of any other word is formed.  A single count is one entry of
-its row.  An instance guard rejects enumerations beyond ~1e8 words.
+every length n = 0..n_max at one k, from one enumeration.  Smooth and
+smooth cyclic words are extended from their smooth prefixes (each next
+letter is one of {c-1, c, c+1} clipped to the alphabet) a length at a
+time: for one first letter, the level at length n holds one byte per
+word, its last letter relative to the first, and the next level is built
+from it by two `bytes.translate` calls.  A word of length 2 or more is
+counted from its own byte and a one-letter word is its letter, so nothing
+is merged by state as in the transfer DP.
+The largest level the guard admits (n = 16, k = 6) holds about 6.3 M
+bytes.  Smooth necklaces are generated once each, as least rotations, by
+FKM prenecklace generation pruned to smooth prefixes; no rotation of any
+other word is formed.  A single count is one entry of its row.  An
+instance guard rejects enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
@@ -113,46 +118,62 @@ def canonical_rotation(word: Sequence[int]) -> Word:
     return w[s:] + w[:s]
 
 
+# `bytes.translate` tables taking byte b to b - 1 and to b + 1.
+_DOWN = bytes([255, *range(255)])
+_UP = bytes([*range(1, 256), 0])
+
+
 @functools.lru_cache(maxsize=1)
 def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Smooth and smooth cyclic word counts in [k]^n for n = 0..n_max, one
-    count per node of one depth-first walk (arguments already validated).
+    level of words per length (arguments already validated).
 
-    No memoisation inside the walk: every counted word is a node of the
-    recursion, which keeps this an enumeration rather than the transfer DP
-    it checks.  The cache holds the last pair of rows, so the `sw` and
-    `scw` rows of one alphabet come from the same walk.
+    For each first letter in turn, the level at length n holds one byte per
+    smooth word of length n starting with that letter: its last letter
+    minus the first, plus n_max + 1.  Every letter of such a word lies
+    within n - 1 of the first, so the bytes stay in 2..2 n_max, and the
+    guard keeps n_max below 28.  The next level is the level stepped down,
+    kept, and stepped up, less the words ending in letter 1 and in letter
+    k respectively.  A word is smooth cyclic iff its byte is within 1 of
+    n_max + 1.  Every counted word of length 2 or more is its own byte,
+    made by extending its prefix's byte; nothing is merged by last letter,
+    which keeps this an enumeration rather than the transfer DP it checks.
+    The k one-letter words, all smooth cyclic, are counted without a level,
+    so rows with n_max <= 1 cost no work per letter.  A level holds at
+    most 3^(n_max-1) bytes; at the guard's largest, n = 16 and k = 6, it
+    holds about 6.3 M, and building it from the one before peaks near
+    13 MB.  The cache holds the last pair of rows, so the `sw` and `scw`
+    rows of one alphabet come from the same enumeration.
     """
     smooth = [1] + [0] * n_max
     cyclic = [1] + [0] * n_max
-
-    def visit(first: int, c: int, length: int) -> None:
-        smooth[length] += 1
-        if -1 <= c - first <= 1:
-            cyclic[length] += 1
-        if length < n_max:
-            length += 1
-            visit(first, c, length)
-            if c > 1:
-                visit(first, c - 1, length)
-            if c < k:
-                visit(first, c + 1, length)
-
     if n_max:
-        for first in range(1, k + 1):
-            visit(first, first, 1)
+        smooth[1] = cyclic[1] = k
+    base = n_max + 1  # the byte of a word's first letter
+    start, near = bytes((base,)), bytes((base - 1, base, base + 1))
+    lengths = range(2, n_max + 1)
+    for first in range(1, k + 1) if lengths else ():
+        # Letters 1 and k as bytes, or none where no level reaches them.
+        low = bytes((base + 1 - first,)) if first - 1 < n_max else b""
+        high = bytes((base + k - first,)) if k - first < n_max else b""
+        level = start
+        for n in lengths:
+            level = b"".join((level.translate(_DOWN, low), level,
+                              level.translate(_UP, high)))
+            smooth[n] += len(level)
+            cyclic[n] += len(level) - len(level.translate(None, near))
     return tuple(smooth), tuple(cyclic)
 
 
 def sw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth words in [k]^n for n = 0..n_max, by depth-first extension."""
+    """Smooth words in [k]^n for n = 0..n_max, extended a length at a time."""
     _validate_instance(n_max, k)
     return list(_word_rows(k, n_max)[0])
 
 
 def scw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth cyclic words in [k]^n for n = 0..n_max, by depth-first
-    extension: the words of `sw_row_bf` whose wrap gap is at most 1."""
+    """Smooth cyclic words in [k]^n for n = 0..n_max, extended a length at
+    a time: the words of `sw_row_bf` whose wrap gap is at most 1."""
     _validate_instance(n_max, k)
     return list(_word_rows(k, n_max)[1])
 

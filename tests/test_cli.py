@@ -3,6 +3,7 @@ import functools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,12 @@ class TestCount:
         assert code == 2
         assert "brute force" in err
 
+    def test_bruteforce_length_zero_at_a_huge_alphabet(self, capsys):
+        for family in ("sw", "scw"):
+            assert run_cli(capsys, "count", family, "--n", "0",
+                           "--k", str(10**18), "--method", "bruteforce") == \
+                (0, "1\n", "")
+
     def test_gf_method_rejected_for_necklaces(self, capsys):
         assert run_cli(capsys, "count", "sn", "--n", "3", "--k", "3",
                        "--method", "gf")[0] == 2
@@ -92,6 +99,17 @@ class TestCount:
         err = run_cli(capsys, "count", "sw", "--n", str(10**19), "--k", "3",
                       "--method", "gf")[2]
         assert err.startswith("error: word length must be in 0..")
+
+    def test_gf_checks_the_length_before_the_build(self, capsys):
+        # Building the k = 3000 function takes seconds; a bad length must
+        # not wait for it, and is named first, as by every other method.
+        for argv in ("count sw --n -1 --k 3000 --method gf",
+                     "count sw --n -1 --k 0 --method gf"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv.split())
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err.startswith("error: word length must be in 0..")
 
 
 class TestTable:
@@ -313,6 +331,8 @@ ERROR_PATHS = [
     (2, "count sw --n 25 --k 3 --method bruteforce"),  # past the guard
     (2, "count sn --n 3 --k 3 --method gf"),
     (2, "count sw --n 10000000000000000000 --k 3 --method gf"),  # > maxsize
+    (2, "count sw --n -1 --k 3000 --method gf"),  # refused before the build
+    (2, "count sw --n -1 --k 0 --method gf"),  # both bad: names the length
     (2, "table sw 3 --k-min 2"),  # positional and flag conflict
     (2, "table both 9 3 11"),
     (2, "check --k-max 0"),
@@ -343,3 +363,18 @@ class TestBinary:
         usage = subprocess.run(env_cmd + ["gf", "sn", "--k", "2"],
                                capture_output=True, text=True)
         assert usage.returncode == 2
+
+    def test_repeated_main_matches_fresh_parsers(self, capsys):
+        # `main` builds its parser once per process.  Calls that follow
+        # others, with argparse errors, a refused count and help among
+        # them, print what a call with a newly built parser prints.
+        argvs = ["count sw --n 11 --k 3", "count nope --n 3 --k 3",
+                 "table both 2 3 4 csv", "count sw --n -1 --k 3",
+                 "check --n-max 3 --k-max 2", "gf sn --k 2",
+                 "--help", "table --help", "count scw --n 5 --k 4"]
+        cli._build_parser.cache_clear()
+        got = [run_cli(capsys, *argv.split()) for argv in argvs]
+        assert cli._build_parser() is cli._build_parser()
+        for argv, result in zip(argvs, got):
+            cli._build_parser.cache_clear()
+            assert run_cli(capsys, *argv.split()) == result

@@ -1,5 +1,6 @@
 """Word predicates, canonical rotation, and brute-force counts."""
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -181,6 +182,36 @@ class TestCounts:
                 for brute, walk, count in rows:
                     assert brute == walk
                     assert count(n_max, k) == brute[n_max]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 254, 255, 256, 257, 600])
+    def test_rows_match_step_sequences(self, k):
+        # Each level byte is a last letter offset by n_max + 1; at these k
+        # the bytes of letters 1 and k fall below 0 or past 255 for some
+        # first letters.  Count the words here from their step sequences.
+        smooth, cyclic = [1] * 6, [1] * 6
+        for n in range(1, 6):
+            smooth[n] = cyclic[n] = 0
+            for first in range(1, k + 1):
+                for steps in itertools.product((-1, 0, 1), repeat=n - 1):
+                    letters = list(itertools.accumulate(steps, initial=first))
+                    if 1 <= min(letters) and max(letters) <= k:
+                        smooth[n] += 1
+                        cyclic[n] += abs(letters[-1] - first) <= 1
+        for n_max in range(6):
+            if words.admits(n_max, k):
+                assert sw_row_bf(k, n_max) == smooth[:n_max + 1]
+                assert scw_row_bf(k, n_max) == cyclic[:n_max + 1]
+
+    def test_short_rows_cost_nothing_per_letter(self):
+        # Rows to length 0 or 1 are read off k, without a loop over the
+        # letters; the smaller k fails fast should that loop come back.
+        for k in (10**7, 10**18):
+            start = time.perf_counter()
+            assert sw_row_bf(k, 0) == scw_row_bf(k, 0) == [1]
+            assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        assert sw_row_bf(10**8, 1) == scw_row_bf(10**8, 1) == [1, 10**8]
+        assert time.perf_counter() - start < 0.5
 
     def test_rows_validate_before_the_cache(self):
         # 3.0 == 3 and True == 1 as cache keys; neither may reach a row.
