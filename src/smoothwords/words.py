@@ -4,7 +4,8 @@ Words over the alphabet {1, ..., k} are plain sequences of ints.  A word
 is *smooth* when consecutive letters differ by at most 1, and *smooth
 cyclic* when additionally the last and first letters differ by at most 1.
 
-Counting here is enumeration, so every counted object is visited once
+Counting here is enumeration, so every counted word, and every counted
+necklace up to adding one constant to all its letters, is visited once,
 and the counts stay independent of the matrix, generating-function and
 spectral pipelines they cross-check.  Each oracle yields a whole row,
 every length n = 0..n_max at one k, from one enumeration.  Smooth and
@@ -16,10 +17,12 @@ from it by two `bytes.translate` calls.  A word of length 2 or more is
 counted from its own byte and a one-letter word is its letter, so nothing
 is merged by state as in the transfer DP.
 The largest level the guard admits (n = 16, k = 6) holds about 6.3 M
-bytes.  Smooth necklaces are generated once each, as least rotations, by
-FKM prenecklace generation pruned to smooth prefixes; no rotation of any
-other word is formed.  A single count is one entry of its row.  An
-instance guard rejects enumerations beyond ~1e8 words.
+bytes.  Smooth necklaces with least letter 1 are generated once each, as
+least rotations, by FKM prenecklace generation pruned to smooth prefixes
+that can still close by length n_max; one with largest letter top stands
+for its k - top + 1 translates, the necklaces with the other least
+letters.  No rotation of any word is formed.  A single count is one entry
+of its row.  An instance guard rejects enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
@@ -179,37 +182,50 @@ def scw_row_bf(k: int, n_max: int) -> list[int]:
 
 
 def necklace_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one once.
+    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one with
+    least letter 1 once and counting its translates.
 
-    FKM prenecklace generation (Fredricksen-Kessler-Maiorana; Ruskey,
-    Savage and Wang, J. Algorithms 13 (1992)) pruned to smooth prefixes:
-    a[t] runs over max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1), where p is
-    the period of the prenecklace a[1..t-1].  A node a[1..t] counts at
-    length t iff its period divides t (a necklace) and |a[t] - a[1]| <= 1.
-    The pruning is exact because every prefix of a smooth cyclic word's
-    least rotation is both a prenecklace and smooth; the extension rule
+    A necklace is named by its least rotation, which starts with its least
+    letter m.  Subtracting m - 1 from every letter keeps smoothness, the
+    wrap gap and rotation classes, so it maps the necklaces with least
+    letter m one to one onto those with least letter 1 and largest letter
+    at most k - m + 1.  A necklace with least letter 1 and largest letter
+    `top` therefore stands for the k - top + 1 necklaces a[i] + s,
+    s = 0..k - top, and only least letter 1 is walked.
+
+    The walk is FKM prenecklace generation (Fredricksen-Kessler-Maiorana;
+    Ruskey, Savage and Wang, J. Algorithms 13 (1992)) from a[1] = 1,
+    pruned to smooth prefixes that can still close: a[t] runs over
+    max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1, n_max+2-t), where p is the
+    period of the prenecklace a[1..t-1].  The last bound drops a letter
+    that cannot step back down to 2 or below by length n_max; it also
+    keeps every letter at most n_max // 2 + 1.  A node a[1..t]
+    counts at length t iff its period divides t (a necklace) and a[t] <= 2,
+    its wrap gap to a[1] = 1.  Every prefix of a smooth cyclic word's least
+    rotation is both a prenecklace and smooth, and the extension rule
     does not depend on the target length, so the tree to depth n_max holds
-    every shorter smooth prenecklace too.
+    every shorter counted necklace too.  Each counted necklace with least
+    letter 1 is its own node; no rotation of any word is formed.
     """
     _validate_instance(n_max, k)
     row = [1] + [0] * n_max
     a = [0] * (n_max + 1)  # a[1..t]; a[0] unused
 
-    def visit(t: int, p: int) -> None:
-        if t % p == 0 and -1 <= a[t] - a[1] <= 1:
-            row[t] += 1
+    def visit(t: int, p: int, top: int) -> None:
+        if t % p == 0 and a[t] <= 2:
+            row[t] += k + 1 - top
         if t < n_max:
             prev = a[t]
             t += 1
             repeat = a[t - p]
-            for c in range(max(repeat, prev - 1), min(k, prev + 1) + 1):
+            for c in range(max(repeat, prev - 1),
+                           min(k, prev + 1, n_max + 2 - t) + 1):
                 a[t] = c
-                visit(t, p if c == repeat else t)
+                visit(t, p if c == repeat else t, top if top >= c else c)
 
     if n_max:
-        for first in range(1, k + 1):
-            a[1] = first
-            visit(1, 1)
+        a[1] = 1
+        visit(1, 1, 1)
     return row
 
 

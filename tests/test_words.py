@@ -213,6 +213,34 @@ class TestCounts:
         assert sw_row_bf(10**8, 1) == scw_row_bf(10**8, 1) == [1, 10**8]
         assert time.perf_counter() - start < 0.5
 
+    def test_short_necklace_rows_cost_nothing_per_letter(self):
+        # Only least letter 1 is walked and every other least letter is a
+        # translate, so these rows take no step per letter of the alphabet.
+        cases = [((10**18, 0), [1]), ((10**8, 1), [1, 10**8]),
+                 ((3 * 10**7, 2), [1, 3 * 10**7, 6 * 10**7 - 1])]
+        for (k, n_max), row in cases:
+            start = time.perf_counter()
+            assert necklace_row_bf(k, n_max) == row
+            assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7])
+    def test_necklace_rows_match_least_rotations(self, k):
+        # Count the distinct least rotations of the smooth cyclic words,
+        # built from step sequences; at k = 6 and 7 the walk's letters stop
+        # at n_max // 2 + 1 = 5 before they reach k.
+        n_max = 9
+        row = [1] + [0] * n_max
+        for n in range(1, n_max + 1):
+            least = set()
+            for first in range(1, k + 1):
+                for steps in itertools.product((-1, 0, 1), repeat=n - 1):
+                    w = tuple(itertools.accumulate(steps, initial=first))
+                    if (1 <= min(w) and max(w) <= k
+                            and abs(w[-1] - first) <= 1):
+                        least.add(min(w[i:] + w[:i] for i in range(n)))
+            row[n] = len(least)
+        assert necklace_row_bf(k, n_max) == row
+
     def test_rows_validate_before_the_cache(self):
         # 3.0 == 3 and True == 1 as cache keys; neither may reach a row.
         assert sw_row_bf(3, 4) == [1, 3, 7, 17, 41]
