@@ -9,9 +9,9 @@ validated rounding (`spectral`).
 
 from .chebyshev import (Poly, eval_poly, t_poly, theta_parts, theta_poly,
                         u_poly, u_zeros)
-from .genfunc import (RationalSeries, scw_gf, series_coefficient,
-                      series_coeffs, series_equal, sw_gf, sw_prefix_gf,
-                      usmani_inverse_entry)
+from .genfunc import (RationalSeries, scw_gf, scw_gf_count,
+                      series_coefficient, series_coeffs, series_equal, sw_gf,
+                      sw_gf_count, sw_prefix_gf, usmani_inverse_entry)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        in_validated_window, residues, round_validated,
                        scw_asymptotic, scw_trig, sn_trig, spectrum,
@@ -20,9 +20,9 @@ from .transfer import (divisors, matrix_power, matrix_power_apply,
                        necklace_exact, necklace_row, scw_exact,
                        scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
                        sw_row, totient, transfer_matrix)
-from .words import (admits, canonical_rotation, count_cyclic_bf,
-                    count_necklaces_bf, count_smooth_bf, is_smooth,
-                    is_smooth_cyclic, necklace_row_bf, scw_row_bf, sw_row_bf)
+from .words import (admits, count_cyclic_bf, count_necklaces_bf,
+                    count_smooth_bf, is_smooth, is_smooth_cyclic,
+                    necklace_row_bf, scw_row_bf, sw_row_bf)
 
 __version__ = "0.1.0"
 
@@ -30,14 +30,15 @@ __all__ = [
     "Poly", "RationalSeries", "Spectrum", "PrecisionExhausted",
     "u_poly", "t_poly", "theta_poly", "theta_parts",
     "eval_poly", "u_zeros",
-    "is_smooth", "is_smooth_cyclic", "canonical_rotation",
+    "is_smooth", "is_smooth_cyclic",
     "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf", "admits",
     "sw_row_bf", "scw_row_bf", "necklace_row_bf",
     "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",
     "totient", "divisors", "usmani_inverse_entry",
-    "sw_gf", "scw_gf", "sw_prefix_gf", "series_coeffs", "series_coefficient",
+    "sw_gf", "scw_gf", "sw_gf_count", "scw_gf_count", "sw_prefix_gf",
+    "series_coeffs", "series_coefficient",
     "series_equal",
     "spectrum", "sw_trig", "scw_trig", "sn_trig", "residues",
     "round_validated", "in_validated_window",

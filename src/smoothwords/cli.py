@@ -38,19 +38,24 @@ _FORMATS = ("md", "csv", "jsonl")
 
 
 # Each family's function in each pipeline, by name; "row" and "bruteforce"
-# take (k, n_max) and return the counts for n = 0..n_max.  `_pipeline`
-# looks the name up on every call, so a patched or wrapped module attribute
-# is the one that runs.  Necklaces have no generating function.
+# take (k, n_max) and return the counts for n = 0..n_max, and "gf count"
+# takes (n, k) and returns coefficient n of the "gf" generating function.
+# `_pipeline` looks the name up on every call, so a patched or wrapped
+# module attribute is the one that runs.  Necklaces have no generating
+# function.
 _FAMILIES = {
     "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_row_bf",
-           "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf"},
+           "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf",
+           "gf count": "sw_gf_count"},
     "scw": {"exact": "scw_exact", "row": "scw_row", "bruteforce": "scw_row_bf",
-            "trig": "scw_trig", "leading": "scw_asymptotic", "gf": "scw_gf"},
+            "trig": "scw_trig", "leading": "scw_asymptotic", "gf": "scw_gf",
+            "gf count": "scw_gf_count"},
     "sn": {"exact": "necklace_exact", "row": "necklace_row",
            "bruteforce": "necklace_row_bf", "trig": "sn_trig"},
 }
 _MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
-            "trig": spectral, "leading": spectral, "gf": genfunc}
+            "trig": spectral, "leading": spectral, "gf": genfunc,
+            "gf count": genfunc}
 
 
 def _pipeline(family: str, stage: str):
@@ -69,12 +74,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif method == "bruteforce":
         value = _pipeline(family, "bruteforce")(k, n)[n]
     elif method == "gf":
-        if "gf" not in _FAMILIES[family]:
+        if "gf count" not in _FAMILIES[family]:
             raise ValueError("no generating-function pipeline for necklaces")
-        # `series_coefficient` checks n too, but only after the build, which
-        # can take seconds at a large k; a bad length must not wait for it.
-        check_int("word length", n, 0, sys.maxsize)
-        value = genfunc.series_coefficient(_pipeline(family, "gf")(k), n)
+        value = _pipeline(family, "gf count")(n, k)
     else:  # spectral
         if not spectral.in_validated_window(n, k):
             raise spectral.PrecisionExhausted(

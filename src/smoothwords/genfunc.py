@@ -43,6 +43,23 @@ antisymmetric half of theta_k, so one factor of degree at most ceil(k/2)
 is left.  The ``scw`` numerator is divisible by (1+x)(1-3x) only, so both
 halves of theta_k are left, each with about half the coefficient bits of
 theta_k.
+
+`scw_gf_count` reads the ``scw`` coefficient n >= 1 without theta_k.  It
+is tr M^n = sum_j (1 + u_j)^n over the zeros u_j = 2 cos(j pi/(k+1)) of
+U_k(u/2), which come in +- pairs (with a lone zero 0 at odd k), so the odd
+powers cancel in the binomial expansion:
+
+  ``scw(n) = k + 2 sum_{i=1}^{n//2} C(n, 2i) p_i``,
+
+where p_i is the i-th power sum of the roots v = u^2 of V, U_k(u/2) =
+u^(k mod 2) V(u^2).  With R(z) = sum_i (-1)^i C(k-i, i) z^i the reversal
+of V, the p_i are the coefficients of -z R'(z) / R(z), read by the same
+lazy division.  Coefficient i of that series needs R only to degree i, so
+R is built to degree min(k//2, n//2) alone: about (n/2) min(k/2, n/2)
+big-by-small products and n/2 binomial terms, against n k products for
+the series of `scw_gf`.  That cost grows like n k, and the jump's like
+k^2 log n, so from n = ``_POWER_SUMS_OVER_K * k`` on the count reads
+`scw_gf` by `series_coefficient` instead.
 """
 from __future__ import annotations
 
@@ -66,6 +83,26 @@ _ONE_PLUS_X = Poly(1, 1)
 # k=250 (d=125), 10/12 for sw k=40 (d=20), 12/14 for scw k=120 (d=120),
 # 10/12 for scw k=300 (d=300) and 6/8 for scw k=30 (d=30).
 _JUMP_OVER_DEGREE = 12
+
+# `scw_gf_count` sums power sums below n = _POWER_SUMS_OVER_K * k and reads
+# `scw_gf` by `series_coefficient` from there on.  Fitted from timings
+# (ms, best of 3 to 7 over two runs, Python 3.11, 2 cores) of the power
+# sums against `series_coefficient(scw_gf(k), n)`, which jumps at every n/k
+# timed here:
+#
+#   n/k        40           50           60           70         80
+#   k=10    0.6 / 0.8    0.8 / 0.8    1.0 / 0.9    1.3 / 0.9   1.1 / 0.8
+#   k=20    2.1 / 2.2    2.9 / 2.5    3.8 / 2.4    4.1 / 2.8   4.4 / 1.9
+#   k=40    7.2 / 10.0  10.6 / 12.9  15.5 / 14.9  20.8 / 18.0  17 / 15
+#   k=80     43 / 70      79 / 80      78 / 85     128 / 103
+#   k=120   142 / 257    162 / 245    298 / 434    423 / 466   465 / 393
+#   k=300  1807 / 3019  3742 / 7267  5524 / 6579
+#
+# Below n/k = 40 the power sums won at every k timed, by 1.5-3x at
+# k >= 40.  The crossover rises slowly with k, from about 50 at k <= 40
+# to 70-80 at k = 120 and past 60 at k = 300; the constant keeps to the
+# lower end.
+_POWER_SUMS_OVER_K = 50
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,6 +213,56 @@ def scw_gf(k: int) -> RationalSeries:
            - (2 * (k + 1)) * th_km1.shift(2))
     return RationalSeries(num, lead * th_k,
                           (_ONE_PLUS_X, _ONE_MINUS_3X) + factors)
+
+
+def sw_gf_count(n: int, k: int) -> int:
+    """Coefficient n of `sw_gf(k)`: the smooth words in [k]^n."""
+    # `series_coefficient` checks n too, but only after the build, which can
+    # take seconds at a large k; a bad length must not wait for it.
+    check_int("word length", n, 0, sys.maxsize)
+    return series_coefficient(sw_gf(k), n)
+
+
+def scw_gf_count(n: int, k: int) -> int:
+    """Coefficient n of `scw_gf(k)`: the smooth cyclic words in [k]^n.
+
+    Below n = ``_POWER_SUMS_OVER_K * k`` it sums the power sums of the
+    squared zeros of U_k (see the module docstring) and builds nothing of
+    size k when n is small; from there on it reads `scw_gf` by
+    `series_coefficient`.
+
+    >>> scw_gf_count(11, 3), scw_gf_count(0, 10**18)
+    (16239, 1)
+    """
+    check_int("word length", n, 0, sys.maxsize)
+    check_int("alphabet size", k, 1)
+    if n >= _POWER_SUMS_OVER_K * k:
+        return series_coefficient(scw_gf(k), n)
+    if not n:
+        return 1
+    r = _reversed_v(k, min(k, n) // 2)
+    # -z R'(z) / R(z) = p_1 z + p_2 z^2 + ...; its constant term is 0.
+    sums = _series(Poly(*(-i * c for i, c in enumerate(r))), [Poly(*r)])
+    next(sums)
+    total, binom = 0, 1  # binom = C(n, j)
+    for j, p in zip(range(2, n + 1, 2), sums):
+        binom = binom * (n - j + 2) * (n - j + 1) // ((j - 1) * j)
+        total += binom * p
+    return k + 2 * total
+
+
+def _reversed_v(k: int, degree: int) -> list[int]:
+    """Coefficients 0..degree (degree <= k // 2) of R(z) = sum_i (-1)^i
+    C(k-i, i) z^i, the reversal of V, where U_k(u/2) = u^(k mod 2) V(u^2).
+
+    R(z) = prod_v (1 - v z) over the roots v of V, the squared zeros of
+    U_k(u/2) taken once per +- pair.  Each coefficient follows from the one
+    before: C(k-i-1, i+1) = C(k-i, i) (k-2i) (k-2i-1) / ((i+1) (k-i)).
+    """
+    r = [1]
+    for i in range(degree):
+        r.append(-r[-1] * (k - 2 * i) * (k - 2 * i - 1) // ((i + 1) * (k - i)))
+    return r
 
 
 def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:

@@ -4,29 +4,33 @@ Words over the alphabet {1, ..., k} are plain sequences of ints.  A word
 is *smooth* when consecutive letters differ by at most 1, and *smooth
 cyclic* when additionally the last and first letters differ by at most 1.
 
-Counting here is enumeration, so every counted word, and every counted
-necklace up to adding one constant to all its letters, is visited once,
+Counting here is enumeration, so every counted word and every counted
+necklace, up to adding one constant to all its letters, is visited once,
 and the counts stay independent of the matrix, generating-function and
 spectral pipelines they cross-check.  Each oracle yields a whole row,
 every length n = 0..n_max at one k, from one enumeration.  Smooth and
 smooth cyclic words are extended from their smooth prefixes (each next
 letter is one of {c-1, c, c+1} clipped to the alphabet) a length at a
-time: for one first letter, the level at length n holds one byte per
-word, its last letter relative to the first, and the next level is built
-from it by two `bytes.translate` calls.  A word of length 2 or more is
-counted from its own byte and a one-letter word is its letter, so nothing
-is merged by state as in the transfer DP.
-The largest level the guard admits (n = 16, k = 6) holds about 6.3 M
-bytes.  Smooth necklaces with least letter 1 are generated once each, as
-least rotations, by FKM prenecklace generation pruned to smooth prefixes
-that can still close by length n_max; one with largest letter top stands
-for its k - top + 1 translates, the necklaces with the other least
-letters.  No rotation of any word is formed.  A single count is one entry
-of its row.  An instance guard rejects enumerations beyond ~1e8 words.
+time: for one walked first letter, the level at length n holds one byte
+per word, its last letter relative to the first, and the next level is
+built from it by two `bytes.translate` calls.  The first letters that
+reach neither letter 1 nor letter k by length n_max all have the same
+levels, so one of them is walked and stands for the others.  A word of
+length 2 or more of a walked first letter is counted from its own byte
+and a one-letter word is its letter, so nothing is merged by state as in
+the transfer DP.  The largest level the guard admits (n = 16, k = 6)
+holds about 6.3 M bytes.  Smooth necklaces with least letter 1 are
+generated once each, as least rotations, by FKM prenecklace generation
+pruned to smooth prefixes that can still close by length n_max; one with
+largest letter top stands for its k - top + 1 translates, the necklaces
+with the other least letters.  No rotation of any word is formed.  A
+single count is one entry of its row.  An instance guard rejects
+enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 
 from ._args import check_int
@@ -87,40 +91,6 @@ def is_smooth_cyclic(word: Sequence[int], k: int) -> bool:
     return is_smooth(w, k) and (len(w) <= 1 or abs(w[-1] - w[0]) <= 1)
 
 
-def _least_rotation_start(word: Word) -> int:
-    """Index starting the lexicographically least rotation (Booth's algorithm)."""
-    doubled = word + word
-    fail = [-1] * len(doubled)
-    best = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - best - 1]
-        while i != -1 and c != doubled[best + i + 1]:
-            if c < doubled[best + i + 1]:
-                best = j - i - 1
-            i = fail[i]
-        if c != doubled[best + i + 1]:
-            if c < doubled[best]:
-                best = j
-            fail[j - best] = -1
-        else:
-            fail[j - best] = i + 1
-    return best
-
-
-def canonical_rotation(word: Sequence[int]) -> Word:
-    """Lexicographically smallest rotation; equal outputs iff rotation equivalent.
-
-    >>> canonical_rotation((2, 1, 2))
-    (1, 2, 2)
-    """
-    w = tuple(word)
-    if len(w) <= 1:
-        return w
-    s = _least_rotation_start(w)
-    return w[s:] + w[:s]
-
-
 # `bytes.translate` tables taking byte b to b - 1 and to b + 1.
 _DOWN = bytes([255, *range(255)])
 _UP = bytes([*range(1, 256), 0])
@@ -131,22 +101,28 @@ def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Smooth and smooth cyclic word counts in [k]^n for n = 0..n_max, one
     level of words per length (arguments already validated).
 
-    For each first letter in turn, the level at length n holds one byte per
-    smooth word of length n starting with that letter: its last letter
-    minus the first, plus n_max + 1.  Every letter of such a word lies
-    within n - 1 of the first, so the bytes stay in 2..2 n_max, and the
-    guard keeps n_max below 28.  The next level is the level stepped down,
-    kept, and stepped up, less the words ending in letter 1 and in letter
-    k respectively.  A word is smooth cyclic iff its byte is within 1 of
-    n_max + 1.  Every counted word of length 2 or more is its own byte,
-    made by extending its prefix's byte; nothing is merged by last letter,
-    which keeps this an enumeration rather than the transfer DP it checks.
-    The k one-letter words, all smooth cyclic, are counted without a level,
-    so rows with n_max <= 1 cost no work per letter.  A level holds at
-    most 3^(n_max-1) bytes; at the guard's largest, n = 16 and k = 6, it
-    holds about 6.3 M, and building it from the one before peaks near
-    13 MB.  The cache holds the last pair of rows, so the `sw` and `scw`
-    rows of one alphabet come from the same enumeration.
+    For each walked first letter in turn, the level at length n holds one
+    byte per smooth word of length n starting with that letter: its last
+    letter minus the first, plus n_max + 1.  Every letter of such a word
+    lies within n - 1 of the first, so the bytes stay in 2..2 n_max, and
+    the guard keeps n_max below 28.  The next level is the level stepped
+    down, kept, and stepped up, less the words ending in letter 1 and in
+    letter k respectively.  A word is smooth cyclic iff its byte is within
+    1 of n_max + 1.  A first letter f with n_max < f <= k - n_max reaches
+    neither letter 1 nor letter k, so its levels never drop a byte and are
+    the same for every such f: one of them is walked, and its counts are
+    weighted by the k - 2 n_max letters it stands for, as `necklace_row_bf`
+    weights a necklace by its translates.  At most 2 n_max + 1 first
+    letters are walked, so no row costs work per letter of k.  Every
+    counted word of length 2 or more of a walked first letter is its own
+    byte, made by extending its prefix's byte; nothing is merged by last
+    letter, which keeps this an enumeration rather than the transfer DP it
+    checks.  The k one-letter words, all smooth cyclic, are counted without
+    a level.  A level holds at most 3^(n_max-1) bytes; at the guard's
+    largest, n = 16 and k = 6, it holds about 6.3 M, and building it from
+    the one before peaks near 13 MB.  The cache holds the last pair of
+    rows, so the `sw` and `scw` rows of one alphabet come from the same
+    enumeration.
     """
     smooth = [1] + [0] * n_max
     cyclic = [1] + [0] * n_max
@@ -155,7 +131,13 @@ def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     base = n_max + 1  # the byte of a word's first letter
     start, near = bytes((base,)), bytes((base - 1, base, base + 1))
     lengths = range(2, n_max + 1)
-    for first in range(1, k + 1) if lengths else ():
+    # (first letter, the first letters it stands for): those within n_max
+    # of an end one by one, then one interior letter for all the rest.
+    walks = [(first, 1) for first in itertools.chain(
+        range(1, min(k, n_max) + 1), range(max(k - n_max, n_max) + 1, k + 1))]
+    if k > 2 * n_max:
+        walks.append((n_max + 1, k - 2 * n_max))
+    for first, weight in walks:
         # Letters 1 and k as bytes, or none where no level reaches them.
         low = bytes((base + 1 - first,)) if first - 1 < n_max else b""
         high = bytes((base + k - first,)) if k - first < n_max else b""
@@ -163,8 +145,9 @@ def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
         for n in lengths:
             level = b"".join((level.translate(_DOWN, low), level,
                               level.translate(_UP, high)))
-            smooth[n] += len(level)
-            cyclic[n] += len(level) - len(level.translate(None, near))
+            smooth[n] += weight * len(level)
+            cyclic[n] += weight * (len(level)
+                                   - len(level.translate(None, near)))
     return tuple(smooth), tuple(cyclic)
 
 

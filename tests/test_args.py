@@ -56,6 +56,8 @@ TABLE = {
     "cyclic_proportion_limit": (sw.cyclic_proportion_limit, (3,), {0: (0,)}),
     "sw_gf": (sw.sw_gf, (3,), {0: (0, -1)}),
     "scw_gf": (sw.scw_gf, (3,), {0: (0, -1)}),
+    "sw_gf_count": (sw.sw_gf_count, (3, 3), {0: (-1,), 1: (0, -1)}),
+    "scw_gf_count": (sw.scw_gf_count, (3, 3), {0: (-1,), 1: (0, -1)}),
     "sw_prefix_gf": (sw.sw_prefix_gf, (2, 3), {0: (0, 4), 1: (0, 1)}),
     "usmani_inverse_entry": (sw.usmani_inverse_entry, (1, 2, 3),
                              {0: (0, 4), 1: (0, 4), 2: (0, 1)}),

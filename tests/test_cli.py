@@ -71,6 +71,16 @@ class TestCount:
                            "--k", str(10**18), "--method", "bruteforce") == \
                 (0, "1\n", "")
 
+    def test_gf_scw_count_at_a_huge_alphabet(self, capsys):
+        # The power sums build nothing of size k below n = 50 k; the series
+        # of scw_gf would first build theta_k of degree 10^18.
+        argv = ("count", "scw", "--n", "48", "--k", str(10**18))
+        start = time.perf_counter()
+        got = run_cli(capsys, *argv, "--method", "gf")
+        assert time.perf_counter() - start < 1
+        assert got[0] == 0
+        assert got == run_cli(capsys, *argv, "--method", "auto")
+
     def test_gf_method_rejected_for_necklaces(self, capsys):
         assert run_cli(capsys, "count", "sn", "--n", "3", "--k", "3",
                        "--method", "gf")[0] == 2
@@ -104,7 +114,11 @@ class TestCount:
         # Building the k = 3000 function takes seconds; a bad length must
         # not wait for it, and is named first, as by every other method.
         for argv in ("count sw --n -1 --k 3000 --method gf",
-                     "count sw --n -1 --k 0 --method gf"):
+                     "count sw --n -1 --k 0 --method gf",
+                     "count scw --n -1 --k 3000 --method gf",
+                     "count scw --n -1 --k 0 --method gf",
+                     "count scw --n 10000000000000000000 --k 3000 "
+                     "--method gf"):
             start = time.perf_counter()
             code, out, err = run_cli(capsys, *argv.split())
             assert time.perf_counter() - start < 0.5

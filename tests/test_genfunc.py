@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from smoothwords import chebyshev, genfunc
 from smoothwords.chebyshev import Poly
 from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
-                                 series_coefficient, series_coeffs,
-                                 series_equal, sw_gf, sw_prefix_gf,
+                                 scw_gf_count, series_coefficient,
+                                 series_coeffs, series_equal, sw_gf,
+                                 sw_gf_count, sw_prefix_gf,
                                  usmani_inverse_entry)
 from smoothwords.transfer import scw_exact, sw_exact, sw_prefix_exact
 
@@ -185,6 +186,59 @@ class TestSeriesCoefficient:
                 series_coefficient(sw_gf(3), n)
         with pytest.raises(ValueError, match="word length must be in 0.."):
             series_coefficient(sw_gf(3), 10**19)
+
+
+class TestGfCounts:
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.integers(1, 12), st.integers(13, 300)),
+           st.integers(0, 400), st.sampled_from((0, None)))
+    @example(1, 0, None)
+    @example(1, 7, None)
+    @example(2, 9, None)
+    @example(7, 349, None)  # odd k, the last n below 50 k
+    @example(7, 350, None)  # the first n from which scw_gf is read
+    @example(8, 399, None)  # even k
+    @example(301, 400, None)  # odd k: a zero u = 0 and k // 2 pairs
+    @example(300, 400, 0)
+    def test_scw_matches_series(self, k, n, ratio):
+        # ratio 0 reads scw_gf at every n; None keeps the fitted constant,
+        # which sums power sums for every n < 50 k.
+        if ratio is None:
+            ratio = genfunc._POWER_SUMS_OVER_K
+        with mock.patch.object(genfunc, "_POWER_SUMS_OVER_K", ratio):
+            assert scw_gf_count(n, k) == series_coeffs(scw_gf(k), n)[n]
+
+    def test_examples(self):
+        # n = 0 is the empty word, not the trace k; at k = 1 only the
+        # words 1...1, and at k = 2 every word is smooth cyclic.
+        assert [scw_gf_count(0, k) for k in (1, 2, 5, 10**18)] == [1] * 4
+        assert [scw_gf_count(n, 1) for n in range(6)] == [1] * 6
+        assert [scw_gf_count(n, 2) for n in range(12)] == \
+            [2**n for n in range(12)]
+        assert [scw_gf_count(n, 3) for n in range(12)] == \
+            [1, 3, 7, 15, 35, 83, 199, 479, 1155, 2787, 6727, 16239]
+        assert [scw_gf_count(n, 4) for n in range(8)] == \
+            [scw_exact(n, 4) for n in range(8)]
+        assert sw_gf_count(11, 3) == 19601
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, 10, 31, 60])
+    def test_reversed_v_is_rescaled_u(self, k):
+        # U_k(u/2) = sum_j a_j u^j / 2^j; coefficient i of R is that of
+        # u^(k - 2i), and every lower degree is read from the same list.
+        a = chebyshev.u_poly(k).coeffs
+        want = [a[k - 2 * i] // 2 ** (k - 2 * i) for i in range(k // 2 + 1)]
+        assert all(a[k - 2 * i] % 2 ** (k - 2 * i) == 0
+                   for i in range(k // 2 + 1))
+        assert all(a[j] == 0 for j in range(k % 2 == 0, k, 2))
+        for degree in range(k // 2 + 1):
+            assert genfunc._reversed_v(k, degree) == want[:degree + 1]
+
+    def test_checks_the_length_before_any_build(self):
+        # Building sw_gf(10**18) would never end; a bad n must not wait.
+        for count in (sw_gf_count, scw_gf_count):
+            for n in (-1, 2.0, True, 10**19):
+                with pytest.raises(ValueError, match="word length"):
+                    count(n, 10**18)
 
 
 def _schoolbook_square(r):

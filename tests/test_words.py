@@ -1,4 +1,4 @@
-"""Word predicates, canonical rotation, and brute-force counts."""
+"""Word predicates and brute-force counts."""
 import itertools
 import time
 
@@ -8,10 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from smoothwords import words
 from smoothwords.transfer import (necklace_exact, necklace_row, scw_row,
                                   sw_row)
-from smoothwords.words import (canonical_rotation, count_cyclic_bf,
-                               count_necklaces_bf, count_smooth_bf,
-                               is_smooth, is_smooth_cyclic, necklace_row_bf,
-                               scw_row_bf, sw_row_bf)
+from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
+                               count_smooth_bf, is_smooth, is_smooth_cyclic,
+                               necklace_row_bf, scw_row_bf, sw_row_bf)
 
 
 def naive_canonical(word):
@@ -93,32 +92,6 @@ class TestPredicates:
                         == is_smooth_cyclic(comp, k)
 
 
-class TestCanonicalRotation:
-    def test_examples(self):
-        assert canonical_rotation((2, 1, 2)) == (1, 2, 2)
-        assert canonical_rotation((2, 2, 1)) == (1, 2, 2)
-        assert canonical_rotation((1, 1, 1)) == (1, 1, 1)
-        assert canonical_rotation((3, 1, 2, 1, 2)) == (1, 2, 1, 2, 3)
-        assert canonical_rotation(()) == ()
-        assert canonical_rotation((4,)) == (4,)
-
-    def test_matches_naive_scan_exhaustive(self):
-        for k in range(1, 5):
-            for n in range(9):
-                for w in all_words(n, k):
-                    assert canonical_rotation(w) == naive_canonical(w)
-
-    @given(words_with_alphabet, st.integers(0, 15))
-    def test_rotation_invariant_and_idempotent(self, wk, r):
-        w, k = wk
-        canon = canonical_rotation(w)
-        assert canon == naive_canonical(w)
-        assert canonical_rotation(canon) == canon
-        if w:
-            r %= len(w)
-            assert canonical_rotation(w[r:] + w[:r]) == canon
-
-
 class TestCounts:
     def test_smooth_examples(self):
         assert count_smooth_bf(2, 3) == 7
@@ -146,18 +119,17 @@ class TestCounts:
                 assert count_smooth_bf(n, k) == len(smooth)
                 assert count_cyclic_bf(n, k) == len(cyclic)
                 assert count_necklaces_bf(n, k) == len(
-                    {canonical_rotation(w) for w in cyclic})
+                    {naive_canonical(w) for w in cyclic})
 
     def test_necklaces_match_burnside(self):
         for k in range(1, 9):  # every cell here is inside the guard
             for n in range(13):
                 assert count_necklaces_bf(n, k) == necklace_exact(n, k)
 
-    def test_necklaces_form_no_rotation(self, monkeypatch):
-        # The oracle generates each necklace once; it never canonicalises.
-        def forbidden(word):
-            raise AssertionError("count_necklaces_bf called canonical_rotation")
-        monkeypatch.setattr(words, "canonical_rotation", forbidden)
+    def test_necklaces_form_no_rotation(self):
+        # The oracle generates each necklace once; `words` holds no rotation
+        # helper for it to canonicalise with.
+        assert not [name for name in vars(words) if "rotation" in name]
         assert count_necklaces_bf(7, 4) == 128 == necklace_exact(7, 4)
 
     @settings(max_examples=15, deadline=None)
@@ -212,6 +184,29 @@ class TestCounts:
         start = time.perf_counter()
         assert sw_row_bf(10**8, 1) == scw_row_bf(10**8, 1) == [1, 10**8]
         assert time.perf_counter() - start < 0.5
+
+    def test_long_rows_cost_nothing_per_letter(self):
+        # The first letters that reach neither end of the alphabet share
+        # their levels, so one of them is walked for all; at these k the
+        # guard's edge, walking every first letter took tens of seconds.
+        for k, n_max in ((3 * 10**7, 2), (10**7, 3)):
+            assert words.admits(n_max, k)
+            start = time.perf_counter()
+            assert sw_row_bf(k, n_max) == \
+                [1, k, 3 * k - 2, 9 * k - 10][:n_max + 1]
+            assert scw_row_bf(k, n_max) == \
+                [1, k, 3 * k - 2, 7 * k - 6][:n_max + 1]
+            assert time.perf_counter() - start < 0.5
+
+    def test_rows_with_an_interior_letter_match_walk_rows(self):
+        # Every admitted (k, n_max) with k < 40, n_max < 10: the split into
+        # walked edge letters and one weighted interior letter depends on
+        # n_max, so each row is its own enumeration.
+        for k in range(1, 40):
+            for n_max in range(10):
+                assert words.admits(n_max, k)
+                assert sw_row_bf(k, n_max) == sw_row(k, n_max)
+                assert scw_row_bf(k, n_max) == scw_row(k, n_max)
 
     def test_short_necklace_rows_cost_nothing_per_letter(self):
         # Only least letter 1 is walked and every other least letter is a
