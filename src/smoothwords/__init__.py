@@ -22,7 +22,8 @@ from .transfer import (divisors, matrix_power, matrix_power_apply,
                        sw_row, totient, transfer_matrix)
 from .words import (admits, count_cyclic_bf, count_necklaces_bf,
                     count_smooth_bf, is_smooth, is_smooth_cyclic,
-                    necklace_row_bf, scw_row_bf, sw_row_bf)
+                    necklace_row_bf, necklace_rows_bf, scw_row_bf,
+                    scw_rows_bf, sw_row_bf, sw_rows_bf)
 
 __version__ = "0.1.0"
 
@@ -33,6 +34,7 @@ __all__ = [
     "is_smooth", "is_smooth_cyclic",
     "count_smooth_bf", "count_cyclic_bf", "count_necklaces_bf", "admits",
     "sw_row_bf", "scw_row_bf", "necklace_row_bf",
+    "sw_rows_bf", "scw_rows_bf", "necklace_rows_bf",
     "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -37,21 +38,23 @@ ROUND_BUDGET = 0.25
 _FORMATS = ("md", "csv", "jsonl")
 
 
-# Each family's function in each pipeline, by name; "row" and "bruteforce"
-# take (k, n_max) and return the counts for n = 0..n_max, and "gf count"
+# Each family's function in each pipeline, by name; "row" takes (k, n_max)
+# and returns the counts for n = 0..n_max, "bruteforce" takes (alphabet
+# sizes, n_max) and gives that row for each of them in turn, and "gf count"
 # takes (n, k) and returns coefficient n of the "gf" generating function.
 # `_pipeline` looks the name up on every call, so a patched or wrapped
 # module attribute is the one that runs.  Necklaces have no generating
 # function.
 _FAMILIES = {
-    "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_row_bf",
+    "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_rows_bf",
            "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf",
            "gf count": "sw_gf_count"},
-    "scw": {"exact": "scw_exact", "row": "scw_row", "bruteforce": "scw_row_bf",
-            "trig": "scw_trig", "leading": "scw_asymptotic", "gf": "scw_gf",
+    "scw": {"exact": "scw_exact", "row": "scw_row",
+            "bruteforce": "scw_rows_bf", "trig": "scw_trig",
+            "leading": "scw_asymptotic", "gf": "scw_gf",
             "gf count": "scw_gf_count"},
     "sn": {"exact": "necklace_exact", "row": "necklace_row",
-           "bruteforce": "necklace_row_bf", "trig": "sn_trig"},
+           "bruteforce": "necklace_rows_bf", "trig": "sn_trig"},
 }
 _MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
             "trig": spectral, "leading": spectral, "gf": genfunc,
@@ -72,7 +75,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method == "auto" or method == "matrix":
         value = _pipeline(family, "exact")(n, k)
     elif method == "bruteforce":
-        value = _pipeline(family, "bruteforce")(k, n)[n]
+        row, = _pipeline(family, "bruteforce")((k,), n)
+        value = row[n]
     elif method == "gf":
         if "gf count" not in _FAMILIES[family]:
             raise ValueError("no generating-function pipeline for necklaces")
@@ -164,19 +168,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
             mismatches.append(f"MISMATCH family={family} n={n} k={k} "
                               f"method={method} got={got} want={want}")
 
+    # Brute force covers the lengths `admits` accepts, 0..depth(k).  It is
+    # monotone in n and false past the guard's bit length, so each depth is
+    # found within a few dozen steps at any n_max.
+    depths = {}
     for k in range(1, k_max + 1):
+        depth = 0
+        while depth < n_max and words.admits(depth + 1, k):
+            depth += 1
+        depths[k] = depth
+    # The depth falls as k grows, so the alphabets of one depth are a run
+    # of k, and each oracle takes a whole run: the necklaces of a run come
+    # from one walk at its largest k, whose depth the guard admitted.  The
+    # rows are read an alphabet at a time across the families, so the sw
+    # and scw rows of one k share its word walk.
+    brute = {}  # k -> {family: row}
+    for depth, run in itertools.groupby(depths, depths.get):
+        ks = list(run)
+        oracles = [_pipeline(family, "bruteforce")(ks, depth)
+                   for family in _FAMILIES]
+        for k, rows in zip(ks, zip(*oracles)):
+            brute[k] = dict(zip(_FAMILIES, rows))
+
+    for k, depth in depths.items():
         series = {family: genfunc.series_coeffs(_pipeline(family, "gf")(k),
                                                 n_max)
                   for family in _having("gf")}
         exact = {family: _pipeline(family, "row")(k, n_max)
-                 for family in _FAMILIES}
-        # Brute force covers the lengths `admits` accepts, 0..depth.  It is
-        # monotone in n and false past the guard's bit length, so this loop
-        # stops within a few dozen steps at any n_max.
-        depth = 0
-        while depth < n_max and words.admits(depth + 1, k):
-            depth += 1
-        brute = {family: _pipeline(family, "bruteforce")(k, depth)
                  for family in _FAMILIES}
         for n in range(n_max + 1):
             for family in _FAMILIES:
@@ -184,7 +202,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 if family in series:
                     compare(family, n, k, "gf", series[family][n], want)
                 if n <= depth:
-                    compare(family, n, k, "bruteforce", brute[family][n], want)
+                    compare(family, n, k, "bruteforce", brute[k][family][n],
+                            want)
                 if spectral.in_validated_window(n, k):
                     try:
                         got = spectral.round_validated(

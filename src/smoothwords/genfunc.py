@@ -216,10 +216,26 @@ def scw_gf(k: int) -> RationalSeries:
 
 
 def sw_gf_count(n: int, k: int) -> int:
-    """Coefficient n of `sw_gf(k)`: the smooth words in [k]^n."""
+    """Coefficient n of `sw_gf(k)`: the smooth words in [k]^n.
+
+    A smooth word of length n >= 1 spans at most n letters, so from
+    alphabet n - 1 on each of its 3^(n-1) step sequences, spanning s
+    letters, fits k + 1 - s >= 0 ways: the count grows by 3^(n-1) per
+    letter.  Past alphabet max(n - 1, 1) it reads `sw_gf` there and adds
+    that line, and builds nothing of size k.
+
+    >>> sw_gf_count(11, 3), sw_gf_count(3, 10**18) == 9 * 10**18 - 10
+    (19601, True)
+    """
     # `series_coefficient` checks n too, but only after the build, which can
     # take seconds at a large k; a bad length must not wait for it.
     check_int("word length", n, 0, sys.maxsize)
+    check_int("alphabet size", k, 1)
+    if not n:
+        return 1
+    base = max(n - 1, 1)
+    if k > base:
+        return series_coefficient(sw_gf(base), n) + (k - base) * 3 ** (n - 1)
     return series_coefficient(sw_gf(k), n)
 
 

@@ -11,6 +11,7 @@ possibly wrong integer and should fall back to the exact pipelines.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from ._args import check_int
@@ -47,6 +48,9 @@ class Spectrum:
     cot2_weights: tuple[float, ...]
 
 
+# Built once per k, as `sn_trig` asks for it once per divisor; typed, so a
+# bool or a float k is not the cached int and still reaches `check_int`.
+@functools.lru_cache(maxsize=None, typed=True)
 def spectrum(k: int) -> Spectrum:
     check_int("alphabet size", k, 1)
     # Angles are computed directly from j, not by accumulation.

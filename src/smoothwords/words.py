@@ -21,17 +21,20 @@ and a one-letter word is its letter, so nothing is merged by state as in
 the transfer DP.  The largest level the guard admits (n = 16, k = 6)
 holds about 6.3 M bytes.  Smooth necklaces with least letter 1 are
 generated once each, as least rotations, by FKM prenecklace generation
-pruned to smooth prefixes that can still close by length n_max; one with
-largest letter top stands for its k - top + 1 translates, the necklaces
-with the other least letters.  No rotation of any word is formed.  A
-single count is one entry of its row.  An instance guard rejects
-enumerations beyond ~1e8 words.
+pruned to smooth prefixes that can still close by length n_max, and
+tallied by length and largest letter.  One with largest letter top stands
+for its k - top + 1 translates, the necklaces with the other least
+letters, at every k >= top, and the walk at k is the walk at a larger K
+cut to letters at most k; so one walk at the largest of several alphabets
+gives the rows of them all (`necklace_rows_bf`).  No rotation of any word
+is formed.  A single count is one entry of its row.  An instance guard
+rejects enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._args import check_int
 
@@ -111,7 +114,7 @@ def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     1 of n_max + 1.  A first letter f with n_max < f <= k - n_max reaches
     neither letter 1 nor letter k, so its levels never drop a byte and are
     the same for every such f: one of them is walked, and its counts are
-    weighted by the k - 2 n_max letters it stands for, as `necklace_row_bf`
+    weighted by the k - 2 n_max letters it stands for, as `necklace_rows_bf`
     weights a necklace by its translates.  At most 2 n_max + 1 first
     letters are walked, so no row costs work per letter of k.  Every
     counted word of length 2 or more of a walked first letter is its own
@@ -164,39 +167,46 @@ def scw_row_bf(k: int, n_max: int) -> list[int]:
     return list(_word_rows(k, n_max)[1])
 
 
-def necklace_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one with
-    least letter 1 once and counting its translates.
+def sw_rows_bf(ks: Iterable[int], n_max: int) -> Iterator[list[int]]:
+    """`sw_row_bf` for each alphabet size in ``ks``, made as it is read.
 
-    A necklace is named by its least rotation, which starts with its least
-    letter m.  Subtracting m - 1 from every letter keeps smoothness, the
-    wrap gap and rotation classes, so it maps the necklaces with least
-    letter m one to one onto those with least letter 1 and largest letter
-    at most k - m + 1.  A necklace with least letter 1 and largest letter
-    `top` therefore stands for the k - top + 1 necklaces a[i] + s,
-    s = 0..k - top, and only least letter 1 is walked.
+    Read in step with `scw_rows_bf` over the same sizes, each alphabet's
+    one word walk serves both rows.
+    """
+    return (sw_row_bf(k, n_max) for k in ks)
+
+
+def scw_rows_bf(ks: Iterable[int], n_max: int) -> Iterator[list[int]]:
+    """`scw_row_bf` for each alphabet size in ``ks``, made as it is read."""
+    return (scw_row_bf(k, n_max) for k in ks)
+
+
+def _necklace_tally(k: int, n_max: int) -> list[list[int]]:
+    """Smooth necklaces in [k]^t with least letter 1, t = 0..n_max, by
+    largest letter: entry [t][top] counts those whose largest letter is top
+    (arguments already validated; entries [t][0] and [0][...] stay 0).
 
     The walk is FKM prenecklace generation (Fredricksen-Kessler-Maiorana;
     Ruskey, Savage and Wang, J. Algorithms 13 (1992)) from a[1] = 1,
     pruned to smooth prefixes that can still close: a[t] runs over
     max(a[t-p], a[t-1]-1) .. min(k, a[t-1]+1, n_max+2-t), where p is the
     period of the prenecklace a[1..t-1].  The last bound drops a letter
-    that cannot step back down to 2 or below by length n_max; it also
-    keeps every letter at most n_max // 2 + 1.  A node a[1..t]
-    counts at length t iff its period divides t (a necklace) and a[t] <= 2,
-    its wrap gap to a[1] = 1.  Every prefix of a smooth cyclic word's least
-    rotation is both a prenecklace and smooth, and the extension rule
-    does not depend on the target length, so the tree to depth n_max holds
-    every shorter counted necklace too.  Each counted necklace with least
-    letter 1 is its own node; no rotation of any word is formed.
+    that cannot step back down to 2 or below by length n_max; with
+    a[t] <= t it keeps every letter at most n_max // 2 + 1, which bounds
+    the columns.  A node a[1..t] counts at length t iff its period divides
+    t (a necklace) and a[t] <= 2, its wrap gap to a[1] = 1.  Every prefix
+    of a smooth cyclic word's least rotation is both a prenecklace and
+    smooth, and the extension rule does not depend on the target length,
+    so the tree to depth n_max holds every shorter counted necklace too.
+    Each counted necklace is its own node; no rotation of any word is
+    formed.
     """
-    _validate_instance(n_max, k)
-    row = [1] + [0] * n_max
+    tally = [[0] * (min(k, n_max // 2 + 1) + 1) for _ in range(n_max + 1)]
     a = [0] * (n_max + 1)  # a[1..t]; a[0] unused
 
     def visit(t: int, p: int, top: int) -> None:
         if t % p == 0 and a[t] <= 2:
-            row[t] += k + 1 - top
+            tally[t][top] += 1
         if t < n_max:
             prev = a[t]
             t += 1
@@ -209,7 +219,48 @@ def necklace_row_bf(k: int, n_max: int) -> list[int]:
     if n_max:
         a[1] = 1
         visit(1, 1, 1)
-    return row
+    return tally
+
+
+def necklace_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
+    """`necklace_row_bf` for each alphabet size in ``ks``, all read from one
+    walk at the largest of them.
+
+    The walk's child bound clips only letters above its alphabet, and every
+    prefix of a prenecklace with letters at most k has letters at most k,
+    so the walk at k is the walk at any larger K cut to letters at most k.
+    A necklace with least letter 1 and largest letter top <= k stands for
+    its k - top + 1 translates (see `necklace_row_bf`), so entry t >= 1 of
+    the row at k is the sum over top <= k of the tally at (t, top) times
+    k + 1 - top.
+    """
+    ks = list(ks)
+    for k in ks:
+        _validate_instance(n_max, k)
+    if not ks:
+        return []
+    tally = _necklace_tally(max(ks), n_max)
+    return [[1] + [sum(count * (k + 1 - top)
+                       for top, count in enumerate(tally[t][:k + 1]))
+                   for t in range(1, n_max + 1)]
+            for k in ks]
+
+
+def necklace_row_bf(k: int, n_max: int) -> list[int]:
+    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one with
+    least letter 1 once and counting its translates.
+
+    A necklace is named by its least rotation, which starts with its least
+    letter m.  Subtracting m - 1 from every letter keeps smoothness, the
+    wrap gap and rotation classes, so it maps the necklaces with least
+    letter m one to one onto those with least letter 1 and largest letter
+    at most k - m + 1.  A necklace with least letter 1 and largest letter
+    `top` therefore stands for the k - top + 1 necklaces a[i] + s,
+    s = 0..k - top, and only least letter 1 is walked: the row is the one
+    `necklace_rows_bf` reads at k from the walk `_necklace_tally` tallies
+    by length and largest letter.
+    """
+    return necklace_rows_bf((k,), n_max)[0]
 
 
 def count_smooth_bf(n: int, k: int) -> int:

@@ -81,6 +81,17 @@ class TestCount:
         assert got[0] == 0
         assert got == run_cli(capsys, *argv, "--method", "auto")
 
+    def test_gf_sw_count_at_a_large_alphabet(self, capsys):
+        # From alphabet n - 1 on the count grows by 3^(n-1) per letter, so
+        # the series is read at k = 47; reading it at k = 20000 would first
+        # build theta_k of degree 20000, which takes over a minute.
+        argv = ("count", "sw", "--n", "48", "--k", "20000")
+        start = time.perf_counter()
+        got = run_cli(capsys, *argv, "--method", "gf")
+        assert time.perf_counter() - start < 1
+        assert got[0] == 0
+        assert got == run_cli(capsys, *argv, "--method", "auto")
+
     def test_gf_method_rejected_for_necklaces(self, capsys):
         assert run_cli(capsys, "count", "sn", "--n", "3", "--k", "3",
                        "--method", "gf")[0] == 2
@@ -252,10 +263,12 @@ class TestCheck:
         assert "MISMATCH family=scw" in out
 
     def test_one_walk_per_alphabet(self, capsys, monkeypatch):
-        # Every length comes from one word walk (shared by sw and scw) and
-        # one FKM walk per k, not from a walk per cell.
+        # Every length comes from one word walk per k (shared by sw and
+        # scw) and one FKM walk per brute-force depth, at the largest k of
+        # that depth, not from a walk per cell.  Here every k reaches
+        # depth 9.
         word_walks, necklace_walks = [], []
-        real_words, real_necklaces = words._word_rows, words.necklace_row_bf
+        real_words, real_necklaces = words._word_rows, words._necklace_tally
 
         def count_words(k, n_max):
             word_walks.append(k)
@@ -267,10 +280,11 @@ class TestCheck:
 
         monkeypatch.setattr(words, "_word_rows",
                             functools.lru_cache(maxsize=1)(count_words))
-        monkeypatch.setattr(words, "necklace_row_bf", count_necklaces)
+        monkeypatch.setattr(words, "_necklace_tally", count_necklaces)
         code, out, _ = run_cli(capsys, "check", "--n-max", "9", "--k-max", "5")
         assert code == 0 and out.endswith(" cross-checks, 0 mismatches\n")
-        assert word_walks == necklace_walks == [1, 2, 3, 4, 5]
+        assert word_walks == [1, 2, 3, 4, 5]
+        assert necklace_walks == [5]
 
     def test_rows_stop_at_the_guard(self, capsys, monkeypatch):
         # With a small guard the rows end early at every k; a row past the

@@ -221,6 +221,22 @@ class TestGfCounts:
             [scw_exact(n, 4) for n in range(8)]
         assert sw_gf_count(11, 3) == 19601
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 29), st.integers(0, 100))
+    @example(1, 0)  # n = 1 reads the series at alphabet 1
+    @example(2, 0)
+    @example(29, 0)  # k = n - 1: the series itself
+    @example(29, 1)  # the first alphabet past it
+    def test_sw_grows_by_step_sequences_past_n_minus_1(self, n, extra):
+        # A smooth word of length n spans at most n letters, so from
+        # alphabet n - 1 on each of its 3^(n-1) step sequences gains one
+        # placement per letter; sw_gf_count reads the series there and
+        # adds the line.
+        k = max(n - 1, 1) + extra
+        assert sw_exact(n, k) == \
+            sw_exact(n, max(n - 1, 1)) + extra * 3 ** (n - 1)
+        assert sw_gf_count(n, k) == sw_exact(n, k)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, 10, 31, 60])
     def test_reversed_v_is_rescaled_u(self, k):
         # U_k(u/2) = sum_j a_j u^j / 2^j; coefficient i of R is that of

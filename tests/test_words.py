@@ -155,6 +155,15 @@ class TestCounts:
                     assert brute == walk
                     assert count(n_max, k) == brute[n_max]
 
+    def test_necklace_rows_of_one_walk_match_walk_rows(self):
+        # The walk at K, cut to letters at most k, is the walk at k: every
+        # row read from it matches the Burnside row, k = 1..K.
+        for K in range(1, 13):
+            for n_max in range(15):
+                rows = words.necklace_rows_bf(range(1, K + 1), n_max)
+                assert rows == [necklace_row(k, n_max)
+                                for k in range(1, K + 1)]
+
     @pytest.mark.parametrize("k", [1, 2, 3, 254, 255, 256, 257, 600])
     def test_rows_match_step_sequences(self, k):
         # Each level byte is a last letter offset by n_max + 1; at these k
