@@ -178,17 +178,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             depth += 1
         depths[k] = depth
     # The depth falls as k grows, so the alphabets of one depth are a run
-    # of k, and each oracle takes a whole run: the necklaces of a run come
-    # from one walk at its largest k, whose depth the guard admitted.  The
-    # rows are read an alphabet at a time across the families, so the sw
-    # and scw rows of one k share its word walk.
-    brute = {}  # k -> {family: row}
+    # of k, and each oracle reads a whole run from one walk at its largest
+    # k, whose depth the guard admitted.
+    brute = {}  # (family, k) -> row
     for depth, run in itertools.groupby(depths, depths.get):
         ks = list(run)
-        oracles = [_pipeline(family, "bruteforce")(ks, depth)
-                   for family in _FAMILIES]
-        for k, rows in zip(ks, zip(*oracles)):
-            brute[k] = dict(zip(_FAMILIES, rows))
+        for family in _FAMILIES:
+            rows = _pipeline(family, "bruteforce")(ks, depth)
+            brute.update(zip([(family, k) for k in ks], rows))
 
     for k, depth in depths.items():
         series = {family: genfunc.series_coeffs(_pipeline(family, "gf")(k),
@@ -202,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 if family in series:
                     compare(family, n, k, "gf", series[family][n], want)
                 if n <= depth:
-                    compare(family, n, k, "bruteforce", brute[k][family][n],
+                    compare(family, n, k, "bruteforce", brute[family, k][n],
                             want)
                 if spectral.in_validated_window(n, k):
                     try:

@@ -144,31 +144,8 @@ class RationalSeries:
                              "denominator")
         object.__setattr__(self, "factors", factors)
 
-    def __add__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
-        other = _as_series(other)
-        return RationalSeries(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    def __sub__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
-        return self + (-_as_series(other))
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries(-self.num, self.den)
-
-    def __mul__(self, other: "RationalSeries | Poly | int") -> "RationalSeries":
-        other = _as_series(other)
-        return RationalSeries(self.num * other.num, self.den * other.den)
-
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
-
-
-def _as_series(v) -> RationalSeries:
-    if isinstance(v, RationalSeries):
-        return v
-    if isinstance(v, (int, Poly)):
-        return RationalSeries(v if isinstance(v, Poly) else Poly(v), Poly(1))
-    raise TypeError(f"cannot treat {type(v).__name__} as a rational series")
 
 
 def poly_str(p: Poly) -> str:

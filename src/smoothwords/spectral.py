@@ -104,18 +104,27 @@ def round_validated(x: float, budget: float) -> int:
     raise PrecisionExhausted(f"{x!r} is {abs(x - nearest):.3g} from an integer")
 
 
+def _leading(k: int) -> tuple[float, float]:
+    """lambda_1 and cot^2(pi/(2(k+1))): entry j = 1 of `spectrum(k)`, by
+    the same float expressions, without building or caching the rest."""
+    check_int("alphabet size", k, 1)
+    angle = math.pi / (k + 1)
+    return (1.0 + 2.0 * math.cos(angle),
+            (math.cos(angle / 2) / math.sin(angle / 2)) ** 2)
+
+
 def sw_asymptotic(n: int, k: int) -> float:
     """Leading term of the smooth-word count:
     (2/(k+1)) cot^2(pi/(2(k+1))) lambda_1^(n-1)."""
     check_int("word length", n, 1)
-    sp = spectrum(k)
-    return 2.0 / (k + 1) * sp.cot2_weights[0] * sp.eigenvalues[0] ** (n - 1)
+    lam, cot2 = _leading(k)
+    return 2.0 / (k + 1) * cot2 * lam ** (n - 1)
 
 
 def scw_asymptotic(n: int, k: int) -> float:
     """Leading term of the smooth-cyclic count: lambda_1^n."""
     check_int("word length", n, 1)
-    return spectrum(k).eigenvalues[0] ** n
+    return _leading(k)[0] ** n
 
 
 def cyclic_proportion_limit(k: int) -> float:

@@ -4,37 +4,35 @@ Words over the alphabet {1, ..., k} are plain sequences of ints.  A word
 is *smooth* when consecutive letters differ by at most 1, and *smooth
 cyclic* when additionally the last and first letters differ by at most 1.
 
-Counting here is enumeration, so every counted word and every counted
-necklace, up to adding one constant to all its letters, is visited once,
+Counting here is enumeration: every counted word and every counted
+necklace is visited once, up to adding one constant to all its letters,
 and the counts stay independent of the matrix, generating-function and
-spectral pipelines they cross-check.  Each oracle yields a whole row,
-every length n = 0..n_max at one k, from one enumeration.  Smooth and
-smooth cyclic words are extended from their smooth prefixes (each next
-letter is one of {c-1, c, c+1} clipped to the alphabet) a length at a
-time: for one walked first letter, the level at length n holds one byte
-per word, its last letter relative to the first, and the next level is
-built from it by two `bytes.translate` calls.  The first letters that
-reach neither letter 1 nor letter k by length n_max all have the same
-levels, so one of them is walked and stands for the others.  A word of
-length 2 or more of a walked first letter is counted from its own byte
-and a one-letter word is its letter, so nothing is merged by state as in
-the transfer DP.  The largest level the guard admits (n = 16, k = 6)
-holds about 6.3 M bytes.  Smooth necklaces with least letter 1 are
-generated once each, as least rotations, by FKM prenecklace generation
-pruned to smooth prefixes that can still close by length n_max, and
-tallied by length and largest letter.  One with largest letter top stands
-for its k - top + 1 translates, the necklaces with the other least
-letters, at every k >= top, and the walk at k is the walk at a larger K
-cut to letters at most k; so one walk at the largest of several alphabets
-gives the rows of them all (`necklace_rows_bf`).  No rotation of any word
-is formed.  A single count is one entry of its row.  An instance guard
+spectral pipelines they cross-check.  All three families keep their
+smoothness, wrap gap and rotation classes under that translation, so a
+class of span s (largest letter less least letter, plus 1) stands for
+its k + 1 - s translates in [k]^t.  Each family's oracle tallies its
+classes by length t and span s once, at the largest alphabet K asked
+for, and reads the row of every k <= K from that one tally
+(`_rows_bf`): entry t is the sum over s <= k of tally[t][s] (k + 1 - s).
+
+Smooth and smooth cyclic words are walked as step sequences from first
+letter 0 (`_word_tally`), a length at a time: a level holds one byte per
+word, its last letter relative to the first, levels are keyed by the
+lowest and highest letter reached, and the next level is built from the
+last by two `bytes.translate` calls.  No level wider than K is made.
+Smooth necklaces with least letter 1, whose span is their largest
+letter, are generated once each as least rotations by FKM prenecklace
+generation pruned to smooth prefixes that can still close
+(`_necklace_tally`).  No rotation of any word is formed, and nothing is
+merged by state as in the transfer DP.  The largest word walk the guard
+admits (n = 16, k = 6) holds 11.9 M bytes at its last length and peaks
+near 13 MB.  A single count is one entry of its row.  An instance guard
 rejects enumerations beyond ~1e8 words.
 """
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from ._args import check_int
 
@@ -100,85 +98,101 @@ _UP = bytes([*range(1, 256), 0])
 
 
 @functools.lru_cache(maxsize=1)
-def _word_rows(k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Smooth and smooth cyclic word counts in [k]^n for n = 0..n_max, one
-    level of words per length (arguments already validated).
+def _word_tally(K: int, n_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Smooth and smooth cyclic words of length t = 0..n_max up to
+    translation, by span s <= K: entry [t][s] of each tally counts the
+    classes of span s (arguments already validated; entries [t][0] and
+    [0][...] stay 0).
 
-    For each walked first letter in turn, the level at length n holds one
-    byte per smooth word of length n starting with that letter: its last
-    letter minus the first, plus n_max + 1.  Every letter of such a word
-    lies within n - 1 of the first, so the bytes stay in 2..2 n_max, and
-    the guard keeps n_max below 28.  The next level is the level stepped
-    down, kept, and stepped up, less the words ending in letter 1 and in
-    letter k respectively.  A word is smooth cyclic iff its byte is within
-    1 of n_max + 1.  A first letter f with n_max < f <= k - n_max reaches
-    neither letter 1 nor letter k, so its levels never drop a byte and are
-    the same for every such f: one of them is walked, and its counts are
-    weighted by the k - 2 n_max letters it stands for, as `necklace_rows_bf`
-    weights a necklace by its translates.  At most 2 n_max + 1 first
-    letters are walked, so no row costs work per letter of k.  Every
-    counted word of length 2 or more of a walked first letter is its own
+    A class is walked as its step sequence from first letter 0, a length
+    at a time.  The level (lo, hi) at length t holds one byte per walked
+    word whose letters run from lo to hi: its last letter plus n_max + 1.
+    Every letter lies within t - 1 of the first, so the bytes stay in
+    2..2 n_max (the guard keeps n_max <= 17).  The next level is each level
+    stepped down, kept, and stepped up.  A word that steps below lo or
+    above hi leaves for level (lo - 1, hi) or (lo, hi + 1), as copies of
+    one byte, and no level wider than K is made.  A word is smooth cyclic
+    iff its byte is within 1 of n_max + 1.  Every counted word is its own
     byte, made by extending its prefix's byte; nothing is merged by last
     letter, which keeps this an enumeration rather than the transfer DP it
-    checks.  The k one-letter words, all smooth cyclic, are counted without
-    a level.  A level holds at most 3^(n_max-1) bytes; at the guard's
-    largest, n = 16 and k = 6, it holds about 6.3 M, and building it from
-    the one before peaks near 13 MB.  The cache holds the last pair of
-    rows, so the `sw` and `scw` rows of one alphabet come from the same
-    enumeration.
+    checks.  Each old level is dropped as it is stepped.  The cache holds
+    the last pair of tallies, so the `sw` and `scw` rows of one read share
+    a walk.
     """
-    smooth = [1] + [0] * n_max
-    cyclic = [1] + [0] * n_max
-    if n_max:
-        smooth[1] = cyclic[1] = k
-    base = n_max + 1  # the byte of a word's first letter
-    start, near = bytes((base,)), bytes((base - 1, base, base + 1))
-    lengths = range(2, n_max + 1)
-    # (first letter, the first letters it stands for): those within n_max
-    # of an end one by one, then one interior letter for all the rest.
-    walks = [(first, 1) for first in itertools.chain(
-        range(1, min(k, n_max) + 1), range(max(k - n_max, n_max) + 1, k + 1))]
-    if k > 2 * n_max:
-        walks.append((n_max + 1, k - 2 * n_max))
-    for first, weight in walks:
-        # Letters 1 and k as bytes, or none where no level reaches them.
-        low = bytes((base + 1 - first,)) if first - 1 < n_max else b""
-        high = bytes((base + k - first,)) if k - first < n_max else b""
-        level = start
-        for n in lengths:
-            level = b"".join((level.translate(_DOWN, low), level,
-                              level.translate(_UP, high)))
-            smooth[n] += weight * len(level)
-            cyclic[n] += weight * (len(level)
-                                   - len(level.translate(None, near)))
-    return tuple(smooth), tuple(cyclic)
+    smooth = [[0] * (min(K, n_max) + 1) for _ in range(n_max + 1)]
+    cyclic = [[0] * (min(K, n_max) + 1) for _ in range(n_max + 1)]
+    base = n_max + 1  # the byte of the first letter
+    near = bytes((base - 1, base, base + 1))
+    levels = {(0, 0): bytes((base,))}
+    for t in range(1, n_max + 1):
+        for (lo, hi), level in levels.items():
+            smooth[t][hi - lo + 1] += len(level)
+            cyclic[t][hi - lo + 1] += sum(map(level.count, near))
+        if t == n_max:
+            break
+        # The words at each level's bottom and top, which step out of it.
+        edges = {(lo, hi): (level.count(base + lo), level.count(base + hi))
+                 for (lo, hi), level in levels.items()}
+        wider = {(lo - d, hi + 1 - d) for lo, hi in levels if hi - lo + 1 < K
+                 for d in (0, 1)}
+        stepped = {}
+        for lo, hi in levels.keys() | wider:
+            level = levels.pop((lo, hi), b"")
+            bottom, top = bytes((base + lo,)), bytes((base + hi,))
+            stepped[lo, hi] = b"".join((
+                level.translate(_DOWN, bottom), level,
+                level.translate(_UP, top),
+                bottom * edges.get((lo + 1, hi), (0, 0))[0],
+                top * edges.get((lo, hi - 1), (0, 0))[1]))
+        levels = stepped
+    return smooth, cyclic
+
+
+def _rows_bf(ks: Iterable[int], n_max: int,
+             tally_at: Callable[[int], list[list[int]]]) -> list[list[int]]:
+    """The row of each alphabet size in ``ks`` from ``tally_at(K)``, a tally
+    of classes up to translation by length t and span s at the largest
+    size K.
+
+    A class of span s <= k has k + 1 - s translates in [k]^t, one per
+    height, and the tally at K cut to spans at most k is the tally at k,
+    so entry t >= 1 of the row at k is the sum over s <= k of the tally at
+    (t, s) times k + 1 - s.
+    """
+    ks = list(ks)
+    for k in ks:
+        _validate_instance(n_max, k)
+    if not ks:
+        return []
+    tally = tally_at(max(ks))
+    return [[1] + [sum(count * (k + 1 - s)
+                       for s, count in enumerate(tally[t][:k + 1]))
+                   for t in range(1, n_max + 1)]
+            for k in ks]
+
+
+def sw_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
+    """`sw_row_bf` for each alphabet size in ``ks``, all read from one word
+    walk at the largest of them."""
+    return _rows_bf(ks, n_max, lambda K: _word_tally(K, n_max)[0])
+
+
+def scw_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
+    """`scw_row_bf` for each alphabet size in ``ks``, all read from one word
+    walk at the largest of them."""
+    return _rows_bf(ks, n_max, lambda K: _word_tally(K, n_max)[1])
 
 
 def sw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth words in [k]^n for n = 0..n_max, extended a length at a time."""
-    _validate_instance(n_max, k)
-    return list(_word_rows(k, n_max)[0])
+    """Smooth words in [k]^n for n = 0..n_max, each walked once up to
+    translation (`_word_tally`) and counted at its k + 1 - span heights."""
+    return sw_rows_bf((k,), n_max)[0]
 
 
 def scw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth cyclic words in [k]^n for n = 0..n_max, extended a length at
-    a time: the words of `sw_row_bf` whose wrap gap is at most 1."""
-    _validate_instance(n_max, k)
-    return list(_word_rows(k, n_max)[1])
-
-
-def sw_rows_bf(ks: Iterable[int], n_max: int) -> Iterator[list[int]]:
-    """`sw_row_bf` for each alphabet size in ``ks``, made as it is read.
-
-    Read in step with `scw_rows_bf` over the same sizes, each alphabet's
-    one word walk serves both rows.
-    """
-    return (sw_row_bf(k, n_max) for k in ks)
-
-
-def scw_rows_bf(ks: Iterable[int], n_max: int) -> Iterator[list[int]]:
-    """`scw_row_bf` for each alphabet size in ``ks``, made as it is read."""
-    return (scw_row_bf(k, n_max) for k in ks)
+    """Smooth cyclic words in [k]^n for n = 0..n_max: the words of
+    `sw_row_bf` whose wrap gap is at most 1."""
+    return scw_rows_bf((k,), n_max)[0]
 
 
 def _necklace_tally(k: int, n_max: int) -> list[list[int]]:
@@ -229,21 +243,9 @@ def necklace_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
     The walk's child bound clips only letters above its alphabet, and every
     prefix of a prenecklace with letters at most k has letters at most k,
     so the walk at k is the walk at any larger K cut to letters at most k.
-    A necklace with least letter 1 and largest letter top <= k stands for
-    its k - top + 1 translates (see `necklace_row_bf`), so entry t >= 1 of
-    the row at k is the sum over top <= k of the tally at (t, top) times
-    k + 1 - top.
+    A necklace with least letter 1 has span equal to its largest letter.
     """
-    ks = list(ks)
-    for k in ks:
-        _validate_instance(n_max, k)
-    if not ks:
-        return []
-    tally = _necklace_tally(max(ks), n_max)
-    return [[1] + [sum(count * (k + 1 - top)
-                       for top, count in enumerate(tally[t][:k + 1]))
-                   for t in range(1, n_max + 1)]
-            for k in ks]
+    return _rows_bf(ks, n_max, lambda K: _necklace_tally(K, n_max))
 
 
 def necklace_row_bf(k: int, n_max: int) -> list[int]:

@@ -255,20 +255,21 @@ class TestCheck:
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # An off-by-one wrap condition would inflate the cyclic brute force.
-        real = words.scw_row_bf
-        monkeypatch.setattr(words, "scw_row_bf", lambda k, n_max: [
-            c + (1 if n >= 2 else 0) for n, c in enumerate(real(k, n_max))])
+        real = words.scw_rows_bf
+        monkeypatch.setattr(words, "scw_rows_bf", lambda ks, n_max: [
+            [c + (1 if n >= 2 else 0) for n, c in enumerate(row)]
+            for row in real(ks, n_max)])
         code, out, _ = run_cli(capsys, "check", "--n-max", "5", "--k-max", "3")
         assert code == 1
         assert "MISMATCH family=scw" in out
 
     def test_one_walk_per_alphabet(self, capsys, monkeypatch):
-        # Every length comes from one word walk per k (shared by sw and
-        # scw) and one FKM walk per brute-force depth, at the largest k of
-        # that depth, not from a walk per cell.  Here every k reaches
-        # depth 9.
+        # Every length of every alphabet comes from one word walk (shared
+        # by sw and scw) and one FKM walk per brute-force depth, at the
+        # largest k of that depth, not from a walk per alphabet or per
+        # cell.  Here every k reaches depth 9.
         word_walks, necklace_walks = [], []
-        real_words, real_necklaces = words._word_rows, words._necklace_tally
+        real_words, real_necklaces = words._word_tally, words._necklace_tally
 
         def count_words(k, n_max):
             word_walks.append(k)
@@ -278,12 +279,12 @@ class TestCheck:
             necklace_walks.append(k)
             return real_necklaces(k, n_max)
 
-        monkeypatch.setattr(words, "_word_rows",
+        monkeypatch.setattr(words, "_word_tally",
                             functools.lru_cache(maxsize=1)(count_words))
         monkeypatch.setattr(words, "_necklace_tally", count_necklaces)
         code, out, _ = run_cli(capsys, "check", "--n-max", "9", "--k-max", "5")
         assert code == 0 and out.endswith(" cross-checks, 0 mismatches\n")
-        assert word_walks == [1, 2, 3, 4, 5]
+        assert word_walks == [5]
         assert necklace_walks == [5]
 
     def test_rows_stop_at_the_guard(self, capsys, monkeypatch):

@@ -172,6 +172,17 @@ class TestAsymptotics:
         assert abs(scw_asymptotic(11, 3) - 16239) < 1.0
         assert scw_asymptotic(11, 3) == pytest.approx((1 + math.sqrt(2)) ** 11,
                                                       rel=1e-12)
+        # The leading terms read entry j = 1 of the spectrum to the last
+        # bit, without building or caching the spectrum of their k.
+        for k in range(1, 61):
+            sp = spectrum(k)
+            assert scw_asymptotic(7, k) == sp.eigenvalues[0] ** 7
+            assert sw_asymptotic(7, k) == (2.0 / (k + 1) * sp.cot2_weights[0]
+                                           * sp.eigenvalues[0] ** 6)
+        cached = spectrum.cache_info().currsize
+        scw_asymptotic(5, 10**6)
+        sw_asymptotic(5, 10**6)
+        assert spectrum.cache_info().currsize == cached
 
     def test_sw_estimate_ratio(self):
         assert sw_asymptotic(11, 3) / sw_exact(11, 3) == pytest.approx(1, abs=1e-3)

@@ -155,20 +155,24 @@ class TestCounts:
                     assert brute == walk
                     assert count(n_max, k) == brute[n_max]
 
-    def test_necklace_rows_of_one_walk_match_walk_rows(self):
-        # The walk at K, cut to letters at most k, is the walk at k: every
-        # row read from it matches the Burnside row, k = 1..K.
+    @pytest.mark.parametrize("brute, walk", [
+        (words.sw_rows_bf, sw_row), (words.scw_rows_bf, scw_row),
+        (words.necklace_rows_bf, necklace_row)], ids=["sw", "scw", "sn"])
+    def test_rows_of_one_walk_match_walk_rows(self, brute, walk):
+        # The tally at K, cut to spans at most k, is the tally at k: every
+        # row read from it matches the transfer row, k = 1..K.  A read of
+        # the spans above k would count them at k + 1 - s <= 0 heights.
         for K in range(1, 13):
             for n_max in range(15):
-                rows = words.necklace_rows_bf(range(1, K + 1), n_max)
-                assert rows == [necklace_row(k, n_max)
-                                for k in range(1, K + 1)]
+                rows = brute(range(1, K + 1), n_max)
+                assert rows == [walk(k, n_max) for k in range(1, K + 1)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 254, 255, 256, 257, 600])
     def test_rows_match_step_sequences(self, k):
-        # Each level byte is a last letter offset by n_max + 1; at these k
-        # the bytes of letters 1 and k fall below 0 or past 255 for some
-        # first letters.  Count the words here from their step sequences.
+        # Each level byte is a last letter relative to the first, offset
+        # by n_max + 1, whatever k is; at these k a letter's own value
+        # would not fit a byte.  Count the words here from their step
+        # sequences.
         smooth, cyclic = [1] * 6, [1] * 6
         for n in range(1, 6):
             smooth[n] = cyclic[n] = 0
@@ -195,9 +199,9 @@ class TestCounts:
         assert time.perf_counter() - start < 0.5
 
     def test_long_rows_cost_nothing_per_letter(self):
-        # The first letters that reach neither end of the alphabet share
-        # their levels, so one of them is walked for all; at these k the
-        # guard's edge, walking every first letter took tens of seconds.
+        # Each word is walked once up to translation and counted at its
+        # k + 1 - span heights; at these k, the guard's edge, walking every
+        # first letter took tens of seconds.
         for k, n_max in ((3 * 10**7, 2), (10**7, 3)):
             assert words.admits(n_max, k)
             start = time.perf_counter()
@@ -208,9 +212,9 @@ class TestCounts:
             assert time.perf_counter() - start < 0.5
 
     def test_rows_with_an_interior_letter_match_walk_rows(self):
-        # Every admitted (k, n_max) with k < 40, n_max < 10: the split into
-        # walked edge letters and one weighted interior letter depends on
-        # n_max, so each row is its own enumeration.
+        # Every admitted (k, n_max) with k < 40, n_max < 10, each read from
+        # its own walk: most of these k are wider than any word, so every
+        # class is counted at k + 1 - span heights and no level is cut.
         for k in range(1, 40):
             for n_max in range(10):
                 assert words.admits(n_max, k)
@@ -259,10 +263,14 @@ class TestCounts:
         assert scw_row_bf(3, 4) == scw_row(3, 4)
 
     def test_small_alphabets_count_everything(self):
+        # Up to the guard's longest rows; without the span cut, k = 1 would
+        # walk 3^16 step sequences at n = 17.
         for k in (1, 2):
-            for n in range(13):
+            for n in range(18):
+                start = time.perf_counter()
                 assert count_smooth_bf(n, k) == k ** n
                 assert count_cyclic_bf(n, k) == k ** n
+                assert time.perf_counter() - start < 0.5
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
