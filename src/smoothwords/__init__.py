@@ -13,9 +13,9 @@ from .genfunc import (RationalSeries, scw_gf, scw_gf_count,
                       series_coefficient, series_coeffs, series_equal, sw_gf,
                       sw_gf_count, sw_prefix_gf, usmani_inverse_entry)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
-                       in_validated_window, residues, round_validated,
-                       scw_asymptotic, scw_trig, sn_trig, spectrum,
-                       sw_asymptotic, sw_trig)
+                       exact_count, in_validated_window, residues,
+                       round_validated, scw_asymptotic, scw_trig, sn_trig,
+                       spectrum, sw_asymptotic, sw_trig)
 from .transfer import (divisors, matrix_power, matrix_power_apply,
                        necklace_exact, necklace_row, scw_exact,
                        scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
@@ -43,6 +43,6 @@ __all__ = [
     "series_coeffs", "series_coefficient",
     "series_equal",
     "spectrum", "sw_trig", "scw_trig", "sn_trig", "residues",
-    "round_validated", "in_validated_window",
+    "round_validated", "in_validated_window", "exact_count",
     "sw_asymptotic", "scw_asymptotic", "cyclic_proportion_limit",
 ]

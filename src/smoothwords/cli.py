@@ -9,15 +9,16 @@ Subcommands:
 * ``asymptotics``  -- leading-term estimates against exact values
 
 Counts are always printed as full decimal strings.  Exit status: 0 on
-success, 1 when ``check`` finds a disagreement, 2 on usage errors and on
-requests too large for memory or for an index, 3 when a spectral request
-falls outside the validated precision window or an ``asymptotics``
+success, 1 when ``check`` finds a disagreement, 2 on usage errors, on
+requests too large for memory or for an index and when stdout is closed
+before the output ends, 3 when a spectral request falls outside the
+validated precision window or does not round, or an ``asymptotics``
 estimate exceeds double range.
 
 Subcommands return 0 or 1 and raise for everything else: `ValueError`,
-`MemoryError` and `OverflowError` for status 2, `PrecisionExhausted` for
-status 3.  `main` alone turns an exception into its status and one
-``error:`` line on stderr.
+`MemoryError`, `OverflowError` and `BrokenPipeError` for status 2,
+`PrecisionExhausted` for status 3.  `main` alone turns an exception into
+its status and one ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -25,15 +26,13 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
-from fractions import Fraction
 
 from . import genfunc, spectral, transfer, words
 from ._args import check_int
 
 OK, CHECK_FAILED, USAGE_ERROR, PRECISION_EXHAUSTED = 0, 1, 2, 3
-
-ROUND_BUDGET = 0.25
 
 _FORMATS = ("md", "csv", "jsonl")
 
@@ -82,26 +81,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise ValueError("no generating-function pipeline for necklaces")
         value = _pipeline(family, "gf count")(n, k)
     else:  # spectral
-        if not spectral.in_validated_window(n, k):
-            raise spectral.PrecisionExhausted(
-                f"spectral method only validated for "
-                f"1 <= n <= {spectral.WINDOW_N_MAX} and "
-                f"1 <= k <= {spectral.WINDOW_K_MAX}")
-        value = spectral.round_validated(_pipeline(family, "trig")(n, k),
-                                         ROUND_BUDGET)
+        value = spectral.exact_count(_pipeline(family, "trig"), n, k)
 
     print(value)
     return OK
 
 
 def _merge(positional, flag, default, what: str):
-    if positional is not None and flag is not None:
-        raise ValueError(f"{what} given both positionally and as a flag")
-    if positional is not None:
-        return positional
+    if positional is None:
+        return default if flag is None else flag
     if flag is not None:
-        return flag
-    return default
+        raise ValueError(f"{what} given both positionally and as a flag")
+    return positional
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -129,14 +120,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for line in table:
             print("| " + " | ".join(line) + " |")
     elif fmt == "csv":
-        if family == "both":
-            print("family,k," + ",".join(str(n) for n in ns))
-            for fam, k, counts in rows:
-                print(f"{fam},{k}," + ",".join(str(c) for c in counts))
-        else:
-            print("k," + ",".join(str(n) for n in ns))
-            for _, k, counts in rows:
-                print(f"{k}," + ",".join(str(c) for c in counts))
+        lead = "{}," if family == "both" else ""  # "both" adds a family column
+        print(lead.format("family") + "k," + ",".join(str(n) for n in ns))
+        for fam, k, counts in rows:
+            print(lead.format(fam) + f"{k}," + ",".join(str(c) for c in counts))
     else:
         for fam, k, counts in rows:
             method = "burnside" if fam == "sn" else "matrix"
@@ -203,8 +190,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             want)
                 if spectral.in_validated_window(n, k):
                     try:
-                        got = spectral.round_validated(
-                            _pipeline(family, "trig")(n, k), ROUND_BUDGET)
+                        got = spectral.exact_count(_pipeline(family, "trig"),
+                                                   n, k)
                     except spectral.PrecisionExhausted as exc:
                         got = f"unroundable ({exc})"
                     compare(family, n, k, "spectral", got, want)
@@ -226,9 +213,10 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         limit = spectral.cyclic_proportion_limit(k)
         print(f"limit {limit!r}")
         if n is not None:
-            ratio = Fraction(transfer.scw_exact(n, k), transfer.sw_exact(n, k))
-            print(f"proportion {float(ratio)!r}")
-            print(f"deviation {abs(float(ratio) - limit)!r}")
+            # Int true division rounds correctly, as float(Fraction) does.
+            ratio = transfer.scw_exact(n, k) / transfer.sw_exact(n, k)
+            print(f"proportion {ratio!r}")
+            print(f"deviation {abs(ratio - limit)!r}")
         return OK
 
     exact = _pipeline(family, "exact")(n, k)
@@ -305,7 +293,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE_ERROR
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to the null
+        # device, so that the interpreter's final flush cannot raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status, message = USAGE_ERROR, "stdout closed before the output ended"
     except spectral.PrecisionExhausted as exc:
         status, message = PRECISION_EXHAUSTED, str(exc)
     except ValueError as exc:

@@ -3,10 +3,11 @@
 The transfer matrix has eigenvalues 1 + 2 cos(j pi/(k+1)), j = 1..k, so
 every count family also has a closed form as a sum of eigenvalue powers
 in double precision.  A sum of k terms of size up to 3^n carries absolute
-error around k * 3^n * 2^-52, so validated rounding back to an exact
-integer is only offered inside the window n <= 25, k <= 10 where the 0.25
-budget is safe; outside it callers get `PrecisionExhausted` instead of a
-possibly wrong integer and should fall back to the exact pipelines.
+error around k * 3^n * 2^-52, so `exact_count` is the one door from such a
+sum back to an exact integer: it answers only inside the window n <= 25,
+k <= 10, and only when the sum lies within 0.25 of an integer.  Outside
+either, callers get `PrecisionExhausted` instead of a possibly wrong
+integer and should fall back to the exact pipelines.
 """
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ import math
 from ._args import check_int
 from .transfer import divisors, totient
 
-# Largest (n, k) for which double-precision eigenvalue sums round reliably.
-WINDOW_N_MAX = 25
-WINDOW_K_MAX = 10
+# Largest (n, k) for which double-precision eigenvalue sums round reliably,
+# and the farthest a sum may lie from the integer it is rounded to.
+_WINDOW_N_MAX = 25
+_WINDOW_K_MAX = 10
+_ROUND_BUDGET = 0.25
 
 
 class PrecisionExhausted(Exception):
@@ -30,7 +33,7 @@ def in_validated_window(n: int, k: int) -> bool:
     """True iff the spectral formulas are guaranteed to round exactly."""
     check_int("word length", n, 0)
     check_int("alphabet size", k, 1)
-    return 1 <= n <= WINDOW_N_MAX and 1 <= k <= WINDOW_K_MAX
+    return 1 <= n <= _WINDOW_N_MAX and 1 <= k <= _WINDOW_K_MAX
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,15 +96,25 @@ def residues(m: int) -> list[float]:
             for j in range(1, m + 1)]
 
 
-def round_validated(x: float, budget: float) -> int:
-    """Nearest integer to ``x`` provided it is within ``budget``; otherwise
-    raises `PrecisionExhausted` so callers fall back to exact pipelines."""
-    if budget <= 0:
-        raise ValueError(f"rounding budget must be positive, got {budget}")
+def round_validated(x: float) -> int:
+    """Nearest integer to ``x`` provided it is within 0.25; otherwise raises
+    `PrecisionExhausted` so callers fall back to exact pipelines."""
     nearest = round(x)
-    if abs(x - nearest) <= budget:
+    if abs(x - nearest) <= _ROUND_BUDGET:
         return int(nearest)
     raise PrecisionExhausted(f"{x!r} is {abs(x - nearest):.3g} from an integer")
+
+
+def exact_count(trig, n: int, k: int) -> int:
+    """The integer that the trigonometric sum ``trig(n, k)`` stands for
+    (``trig`` is `sw_trig`, `scw_trig` or `sn_trig`); raises
+    `PrecisionExhausted` outside the validated window or when the sum
+    does not round within 0.25."""
+    if not in_validated_window(n, k):
+        raise PrecisionExhausted(
+            f"spectral method only validated for 1 <= n <= {_WINDOW_N_MAX} "
+            f"and 1 <= k <= {_WINDOW_K_MAX}")
+    return round_validated(trig(n, k))
 
 
 def _leading(k: int) -> tuple[float, float]:

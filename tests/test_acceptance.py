@@ -20,9 +20,9 @@ from smoothwords.chebyshev import eval_poly, u_poly, u_zeros
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
                                  series_equal, sw_gf)
 from smoothwords.chebyshev import Poly
-from smoothwords.spectral import (cyclic_proportion_limit, residues,
-                                  round_validated, scw_trig, sn_trig,
-                                  spectrum, sw_asymptotic, sw_trig)
+from smoothwords.spectral import (cyclic_proportion_limit, exact_count,
+                                  residues, scw_trig, sn_trig, spectrum,
+                                  sw_asymptotic, sw_trig)
 from smoothwords.transfer import necklace_exact, scw_exact, sw_exact
 from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
                                count_smooth_bf)
@@ -67,11 +67,11 @@ def test_four_way_agreement():
             if count_necklaces_bf(n, k) != sn:
                 bad.append(("sn", n, k))
             if n >= 1:  # spectral window admits every such instance here
-                if round_validated(sw_trig(n, k), 0.25) != sw:
+                if exact_count(sw_trig, n, k) != sw:
                     bad.append(("sw-spectral", n, k))
-                if round_validated(scw_trig(n, k), 0.25) != scw:
+                if exact_count(scw_trig, n, k) != scw:
                     bad.append(("scw-spectral", n, k))
-                if round_validated(sn_trig(n, k), 0.25) != sn:
+                if exact_count(sn_trig, n, k) != sn:
                     bad.append(("sn-spectral", n, k))
     assert report("four-way agreement, n<=10 k<=6", not bad, f"bad={bad}" if bad else "")
 
@@ -97,11 +97,11 @@ def test_spectral_window():
     bad = []
     for k in range(1, 11):
         for n in range(1, 26):
-            if round_validated(sw_trig(n, k), 0.25) != sw_exact(n, k):
+            if exact_count(sw_trig, n, k) != sw_exact(n, k):
                 bad.append(("sw", n, k))
-            if round_validated(scw_trig(n, k), 0.25) != scw_exact(n, k):
+            if exact_count(scw_trig, n, k) != scw_exact(n, k):
                 bad.append(("scw", n, k))
-            if round_validated(sn_trig(n, k), 0.25) != necklace_exact(n, k):
+            if exact_count(sn_trig, n, k) != necklace_exact(n, k):
                 bad.append(("sn", n, k))
     outside = [cli.main(["count", fam, "--n", str(n), "--k", str(k),
                          "--method", "spectral"])

@@ -51,6 +51,9 @@ TABLE = {
     "scw_asymptotic": (sw.scw_asymptotic, (3, 3), {0: (0,), 1: (0,)}),
     "in_validated_window": (sw.in_validated_window, (3, 3),
                             {0: (-1,), 1: (0, -1)}),
+    # n = 0 and n = 26 lie outside the window: refusals, not argument errors.
+    "exact_count": (lambda n, k: sw.exact_count(sw.sw_trig, n, k), (3, 3),
+                    {0: (-1,), 1: (0, -1)}),
     "spectrum": (sw.spectrum, (3,), {0: (0,)}),
     "residues": (sw.residues, (3,), {0: (0,)}),
     "cyclic_proportion_limit": (sw.cyclic_proportion_limit, (3,), {0: (0,)}),

@@ -97,12 +97,12 @@ class TestCount:
                        "--method", "gf")[0] == 2
 
     def test_spectral_outside_window_exits_3(self, capsys):
-        assert run_cli(capsys, "count", "sw", "--n", "26", "--k", "3",
-                       "--method", "spectral")[0] == 3
-        assert run_cli(capsys, "count", "sw", "--n", "10", "--k", "11",
-                       "--method", "spectral")[0] == 3
-        assert run_cli(capsys, "count", "scw", "--n", "0", "--k", "3",
-                       "--method", "spectral")[0] == 3
+        refusal = ("error: spectral method only validated for "
+                   "1 <= n <= 25 and 1 <= k <= 10\n")
+        for family, n, k in (("sw", "26", "3"), ("sw", "10", "11"),
+                             ("scw", "0", "3")):
+            assert run_cli(capsys, "count", family, "--n", n, "--k", k,
+                           "--method", "spectral") == (3, "", refusal)
 
     def test_invalid_arguments(self, capsys):
         assert run_cli(capsys, "count", "sw", "--n", "-1", "--k", "3")[0] == 2
@@ -341,6 +341,20 @@ class TestAsymptotics:
         limit = float(out.splitlines()[0].split()[1])
         assert limit == pytest.approx(3 * math.pi ** 2 / 8000, rel=0.01)
 
+    def test_proportion_is_the_correctly_rounded_ratio(self, capsys):
+        # The printed proportion and deviation are those of the exact
+        # rational scw/sw rounded once to a double.
+        from fractions import Fraction
+        for k in (*range(1, 13), 50, 1000):
+            limit = spectral.cyclic_proportion_limit(k)
+            for n in (1, 2, 3, 5, 10, 30, 31, 100, 2000, 20000):
+                ratio = float(Fraction(transfer.scw_exact(n, k),
+                                       transfer.sw_exact(n, k)))
+                assert run_cli(capsys, "asymptotics", "proportion", "--k",
+                               str(k), "--n", str(n)) == (
+                    0, f"limit {limit!r}\nproportion {ratio!r}\n"
+                       f"deviation {abs(ratio - limit)!r}\n", "")
+
     def test_length_required_for_word_families(self, capsys):
         assert run_cli(capsys, "asymptotics", "sw", "--k", "3")[0] == 2
 
@@ -392,6 +406,21 @@ class TestBinary:
         usage = subprocess.run(env_cmd + ["gf", "sn", "--k", "2"],
                                capture_output=True, text=True)
         assert usage.returncode == 2
+
+    def test_closed_stdout_exits_2(self):
+        # A reader that stops after 100 bytes of a 1.5 MB table closes the
+        # pipe while the writer still prints: one error line, no traceback
+        # and no complaint from the interpreter's final flush.
+        with subprocess.Popen(
+                [sys.executable, "-m", "smoothwords", "table", "sw", "1", "40",
+                 "400", "csv"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert head.startswith(b"k,0,1,2,")
+        assert proc.returncode == 2
+        assert err == "error: stdout closed before the output ended\n"
 
     def test_repeated_main_matches_fresh_parsers(self, capsys):
         # `main` builds its parser once per process.  Calls that follow

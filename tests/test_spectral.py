@@ -6,7 +6,7 @@ import pytest
 
 from smoothwords.chebyshev import eval_poly, u_poly, u_zeros
 from smoothwords.spectral import (PrecisionExhausted, cyclic_proportion_limit,
-                                  in_validated_window, residues,
+                                  exact_count, in_validated_window, residues,
                                   round_validated, scw_asymptotic, scw_trig,
                                   sn_trig, spectrum, sw_asymptotic, sw_trig)
 from smoothwords.transfer import necklace_exact, scw_exact, sw_exact
@@ -72,14 +72,10 @@ class TestTrigForms:
 
 class TestRoundValidated:
     def test_examples(self):
-        assert round_validated(6.9999999991, 0.25) == 7
+        assert round_validated(6.9999999991) == 7
         with pytest.raises(PrecisionExhausted):
-            round_validated(7.4, 0.25)
-        assert round_validated(sw_trig(20, 5), 0.25) == sw_exact(20, 5)
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            round_validated(1.0, 0.0)
+            round_validated(7.4)
+        assert round_validated(sw_trig(20, 5)) == sw_exact(20, 5)
 
     def test_window_predicate(self):
         assert in_validated_window(1, 1)
@@ -91,9 +87,16 @@ class TestRoundValidated:
     def test_round_trip_exactness_over_window(self):
         for k in range(1, 11):
             for n in range(1, 26):
-                assert round_validated(sw_trig(n, k), 0.25) == sw_exact(n, k)
-                assert round_validated(scw_trig(n, k), 0.25) == scw_exact(n, k)
-                assert round_validated(sn_trig(n, k), 0.25) == necklace_exact(n, k)
+                assert exact_count(sw_trig, n, k) == sw_exact(n, k)
+                assert exact_count(scw_trig, n, k) == scw_exact(n, k)
+                assert exact_count(sn_trig, n, k) == necklace_exact(n, k)
+        refusal = ("spectral method only validated for 1 <= n <= 25 "
+                   "and 1 <= k <= 10")
+        for n, k in ((0, 3), (26, 3), (25, 11)):
+            for trig in (sw_trig, scw_trig, sn_trig):
+                with pytest.raises(PrecisionExhausted) as exc:
+                    exact_count(trig, n, k)
+                assert str(exc.value) == refusal
 
 
 class TestResidues:
