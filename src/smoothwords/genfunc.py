@@ -210,10 +210,8 @@ def sw_gf_count(n: int, k: int) -> int:
     check_int("alphabet size", k, 1)
     if not n:
         return 1
-    base = max(n - 1, 1)
-    if k > base:
-        return series_coefficient(sw_gf(base), n) + (k - base) * 3 ** (n - 1)
-    return series_coefficient(sw_gf(k), n)
+    base = min(k, max(n - 1, 1))  # the line adds nothing when k <= base
+    return series_coefficient(sw_gf(base), n) + (k - base) * 3 ** (n - 1)
 
 
 def scw_gf_count(n: int, k: int) -> int:

@@ -26,8 +26,13 @@ generation pruned to smooth prefixes that can still close
 (`_necklace_tally`).  No rotation of any word is formed, and nothing is
 merged by state as in the transfer DP.  The largest word walk the guard
 admits (n = 16, k = 6) holds 11.9 M bytes at its last length and peaks
-near 13 MB.  A single count is one entry of its row.  An instance guard
-rejects enumerations beyond ~1e8 words.
+near 13 MB.
+
+Each family has one public reader, `sw_rows_bf`, `scw_rows_bf` or
+`necklace_rows_bf`, taking alphabet sizes ``ks`` and a depth ``n_max``;
+a single count is entry n of its row.  `admits` refuses [k]^n once
+k * 3^(n-1) exceeds `ENUMERATION_LIMIT`, and a row is guarded by its
+last length.
 """
 from __future__ import annotations
 
@@ -38,8 +43,13 @@ from ._args import check_int
 
 Word = tuple[int, ...]
 
-# A row to depth n visits at most k * 3^(n-1) words of length n (and half
-# as many shorter ones); refuse anything past this.
+# `admits` bounds k * 3^(n-1), the smooth words of length n that a walk from
+# every first letter would make.  The walks here cost less: the word walk
+# holds at most 3^(n-1) bytes at its last length whatever k is, and the
+# necklace walk makes about 2.3 nodes per necklace with least letter 1.
+# The k factor stays because it sets the lengths `check` compares by brute
+# force, and so its comparison count, which `perfbench/oracle.py`'s
+# `check_comparisons` recomputes from the same bound (ROADMAP.md item 4).
 ENUMERATION_LIMIT = 10**8
 
 
@@ -159,6 +169,7 @@ def _rows_bf(ks: Iterable[int], n_max: int,
     so entry t >= 1 of the row at k is the sum over s <= k of the tally at
     (t, s) times k + 1 - s.
     """
+    check_int("word length", n_max, 0)  # first, so an empty ``ks`` is checked
     ks = list(ks)
     for k in ks:
         _validate_instance(n_max, k)
@@ -172,27 +183,25 @@ def _rows_bf(ks: Iterable[int], n_max: int,
 
 
 def sw_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
-    """`sw_row_bf` for each alphabet size in ``ks``, all read from one word
-    walk at the largest of them."""
+    """Smooth words in [k]^n for n = 0..n_max, one row per alphabet size k
+    in ``ks``, all read from one word walk at the largest of them
+    (`_word_tally`).
+
+    >>> sw_rows_bf((3, 5), 5)
+    [[1, 3, 7, 17, 41, 99], [1, 5, 13, 35, 95, 259]]
+    """
     return _rows_bf(ks, n_max, lambda K: _word_tally(K, n_max)[0])
 
 
 def scw_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
-    """`scw_row_bf` for each alphabet size in ``ks``, all read from one word
-    walk at the largest of them."""
+    """Smooth cyclic words in [k]^n for n = 0..n_max, one row per alphabet
+    size k in ``ks``: the smooth words whose wrap gap is at most 1, read
+    from the same walk as `sw_rows_bf`.
+
+    >>> scw_rows_bf((3,), 3)
+    [[1, 3, 7, 15]]
+    """
     return _rows_bf(ks, n_max, lambda K: _word_tally(K, n_max)[1])
-
-
-def sw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth words in [k]^n for n = 0..n_max, each walked once up to
-    translation (`_word_tally`) and counted at its k + 1 - span heights."""
-    return sw_rows_bf((k,), n_max)[0]
-
-
-def scw_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth cyclic words in [k]^n for n = 0..n_max: the words of
-    `sw_row_bf` whose wrap gap is at most 1."""
-    return scw_rows_bf((k,), n_max)[0]
 
 
 def _necklace_tally(k: int, n_max: int) -> list[list[int]]:
@@ -237,44 +246,22 @@ def _necklace_tally(k: int, n_max: int) -> list[list[int]]:
 
 
 def necklace_rows_bf(ks: Iterable[int], n_max: int) -> list[list[int]]:
-    """`necklace_row_bf` for each alphabet size in ``ks``, all read from one
-    walk at the largest of them.
-
-    The walk's child bound clips only letters above its alphabet, and every
-    prefix of a prenecklace with letters at most k has letters at most k,
-    so the walk at k is the walk at any larger K cut to letters at most k.
-    A necklace with least letter 1 has span equal to its largest letter.
-    """
-    return _rows_bf(ks, n_max, lambda K: _necklace_tally(K, n_max))
-
-
-def necklace_row_bf(k: int, n_max: int) -> list[int]:
-    """Smooth necklaces in [k]^n for n = 0..n_max, generating each one with
-    least letter 1 once and counting its translates.
+    """Smooth necklaces in [k]^n for n = 0..n_max, one row per alphabet
+    size k in ``ks``, all read from one walk at the largest of them.
 
     A necklace is named by its least rotation, which starts with its least
     letter m.  Subtracting m - 1 from every letter keeps smoothness, the
     wrap gap and rotation classes, so it maps the necklaces with least
     letter m one to one onto those with least letter 1 and largest letter
     at most k - m + 1.  A necklace with least letter 1 and largest letter
-    `top` therefore stands for the k - top + 1 necklaces a[i] + s,
-    s = 0..k - top, and only least letter 1 is walked: the row is the one
-    `necklace_rows_bf` reads at k from the walk `_necklace_tally` tallies
-    by length and largest letter.
+    `top`, its span, therefore stands for the k - top + 1 necklaces
+    a[i] + s, s = 0..k - top, and only least letter 1 is walked
+    (`_necklace_tally`).  The walk's child bound clips only letters above
+    its alphabet, and every prefix of a prenecklace with letters at most k
+    has letters at most k, so the walk at k is the walk at any larger K
+    cut to letters at most k.
+
+    >>> necklace_rows_bf((2, 3), 4)
+    [[1, 2, 3, 4, 6], [1, 3, 5, 7, 12]]
     """
-    return necklace_rows_bf((k,), n_max)[0]
-
-
-def count_smooth_bf(n: int, k: int) -> int:
-    """Number of smooth words in [k]^n: entry n of `sw_row_bf`."""
-    return sw_row_bf(k, n)[n]
-
-
-def count_cyclic_bf(n: int, k: int) -> int:
-    """Number of smooth cyclic words in [k]^n: entry n of `scw_row_bf`."""
-    return scw_row_bf(k, n)[n]
-
-
-def count_necklaces_bf(n: int, k: int) -> int:
-    """Number of smooth necklaces in [k]^n: entry n of `necklace_row_bf`."""
-    return necklace_row_bf(k, n)[n]
+    return _rows_bf(ks, n_max, lambda K: _necklace_tally(K, n_max))

@@ -24,8 +24,7 @@ from smoothwords.spectral import (cyclic_proportion_limit, exact_count,
                                   residues, scw_trig, sn_trig, spectrum,
                                   sw_asymptotic, sw_trig)
 from smoothwords.transfer import necklace_exact, scw_exact, sw_exact
-from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
-                               count_smooth_bf)
+from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -58,13 +57,16 @@ def test_four_way_agreement():
     for k in range(1, 7):
         sw_series = series_coeffs(sw_gf(k), 10)
         scw_series = series_coeffs(scw_gf(k), 10)
+        [sw_brute] = sw_rows_bf((k,), 10)
+        [scw_brute] = scw_rows_bf((k,), 10)
+        [sn_brute] = necklace_rows_bf((k,), 10)
         for n in range(11):
             sw, scw, sn = sw_exact(n, k), scw_exact(n, k), necklace_exact(n, k)
-            if not (count_smooth_bf(n, k) == sw_series[n] == sw):
+            if not (sw_brute[n] == sw_series[n] == sw):
                 bad.append(("sw", n, k))
-            if not (count_cyclic_bf(n, k) == scw_series[n] == scw):
+            if not (scw_brute[n] == scw_series[n] == scw):
                 bad.append(("scw", n, k))
-            if count_necklaces_bf(n, k) != sn:
+            if sn_brute[n] != sn:
                 bad.append(("sn", n, k))
             if n >= 1:  # spectral window admits every such instance here
                 if exact_count(sw_trig, n, k) != sw:

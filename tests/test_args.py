@@ -34,16 +34,36 @@ TABLE = {
                        {0: (0, 4), 1: (0, 4), 2: (1,), 3: (0, 2)}),
     "divisors": (sw.divisors, (6,), {0: (0, -6)}),
     "totient": (sw.totient, (6,), {0: (0, -6)}),
-    "count_smooth_bf": (sw.count_smooth_bf, (3, 3), {0: (-1,), 1: (0,)}),
-    "count_cyclic_bf": (sw.count_cyclic_bf, (3, 3), {0: (-1,), 1: (0,)}),
-    "count_necklaces_bf": (sw.count_necklaces_bf, (3, 3), {0: (-1,), 1: (0,)}),
-    "sw_row_bf": (sw.sw_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
-    "scw_row_bf": (sw.scw_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
-    "necklace_row_bf": (sw.necklace_row_bf, (3, 4), {0: (0, -2), 1: (-1,)}),
+    # A bad alphabet size among good ones, then a bad length with none.
+    "sw_rows_bf": (lambda k, n_max: sw.sw_rows_bf((1, k), n_max), (3, 4),
+                   {0: (0, -2), 1: (-1,)}),
+    "scw_rows_bf": (lambda k, n_max: sw.scw_rows_bf((1, k), n_max), (3, 4),
+                    {0: (0, -2), 1: (-1,)}),
+    "necklace_rows_bf": (lambda k, n_max: sw.necklace_rows_bf((1, k), n_max),
+                         (3, 4), {0: (0, -2), 1: (-1,)}),
+    "sw_rows_bf no alphabet": (lambda n_max: sw.sw_rows_bf((), n_max), (4,),
+                               {0: (-1,)}),
+    "scw_rows_bf no alphabet": (lambda n_max: sw.scw_rows_bf((), n_max),
+                                (4,), {0: (-1,)}),
+    "necklace_rows_bf no alphabet": (
+        lambda n_max: sw.necklace_rows_bf((), n_max), (4,), {0: (-1,)}),
+    # One alphabet alone, read as a single row; the ids are those of the
+    # former single-row readers, whose cases these rows keep.
+    "sw_row_bf": (lambda k, n_max: sw.sw_rows_bf((k,), n_max)[0], (3, 4),
+                  {0: (0, -2), 1: (-1,)}),
+    "scw_row_bf": (lambda k, n_max: sw.scw_rows_bf((k,), n_max)[0], (3, 4),
+                   {0: (0, -2), 1: (-1,)}),
+    "necklace_row_bf": (
+        lambda k, n_max: sw.necklace_rows_bf((k,), n_max)[0], (3, 4),
+        {0: (0, -2), 1: (-1,)}),
     "admits": (sw.admits, (3, 3), {0: (-1,), 1: (0,)}),
     "is_smooth": (sw.is_smooth, ((1, 2), 3), {1: (0, 1)}),
     "is_smooth letter": (lambda letter, k: sw.is_smooth((1, letter), k),
                          (2, 3), {0: (0, 4)}),
+    "is_smooth_cyclic": (sw.is_smooth_cyclic, ((1, 2), 3), {1: (0, 1)}),
+    "is_smooth_cyclic letter": (
+        lambda letter, k: sw.is_smooth_cyclic((1, letter), k), (2, 3),
+        {0: (0, 4)}),
     "sw_trig": (sw.sw_trig, (3, 3), {0: (0,), 1: (0,)}),
     "scw_trig": (sw.scw_trig, (3, 3), {0: (0,), 1: (0,)}),
     "sn_trig": (sw.sn_trig, (3, 3), {0: (0,), 1: (0,)}),
@@ -65,6 +85,7 @@ TABLE = {
     "usmani_inverse_entry": (sw.usmani_inverse_entry, (1, 2, 3),
                              {0: (0, 4), 1: (0, 4), 2: (0, 1)}),
     "series_coeffs": (sw.series_coeffs, (GF3, 4), {1: (-1,)}),
+    "series_coefficient": (sw.series_coefficient, (GF3, 4), {1: (-1,)}),
     "u_poly": (sw.u_poly, (2,), {0: (-3,)}),
     "t_poly": (sw.t_poly, (2,), {0: (-1,)}),
     "theta_poly": (sw.theta_poly, (2,), {0: (-1,)}),
@@ -91,3 +112,9 @@ def test_integer_arguments_follow_one_rule(name):
             else:
                 escaped.append(f"{call!r} returned {result!r}")
     assert not escaped, f"{name}: " + "; ".join(escaped)
+
+
+def test_every_export_resolves():
+    # A name left in `__all__` after its function is gone fails here, not
+    # at a user's `from smoothwords import *`.
+    assert [name for name in sw.__all__ if not hasattr(sw, name)] == []

@@ -11,8 +11,7 @@ from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
                                   scw_pair_exact, scw_row, sw_exact,
                                   sw_prefix_exact, sw_row, totient,
                                   transfer_matrix)
-from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
-                               count_smooth_bf)
+from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
                                  series_equal, sw_gf, usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
@@ -62,7 +61,7 @@ class TestExactCounts:
     def test_scw_examples(self):
         assert scw_exact(11, 4) == 39802
         assert scw_exact(2, 3) == 7
-        assert scw_exact(13, 3) == count_cyclic_bf(13, 3)
+        assert scw_exact(13, 3) == scw_rows_bf((3,), 13)[0][13]
         assert scw_exact(0, 6) == 1
 
     def test_prefix_examples(self):
@@ -113,21 +112,19 @@ class TestExactCounts:
 class TestOracleAgreement:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_counts_match_bruteforce(self, k):
-        for n in range(11):
-            assert sw_exact(n, k) == count_smooth_bf(n, k)
-            assert scw_exact(n, k) == count_cyclic_bf(n, k)
-            assert necklace_exact(n, k) == count_necklaces_bf(n, k)
+        assert sw_rows_bf((k,), 10) == [[sw_exact(n, k) for n in range(11)]]
+        assert scw_rows_bf((k,), 10) == [[scw_exact(n, k) for n in range(11)]]
+        assert necklace_rows_bf((k,), 10) == \
+            [[necklace_exact(n, k) for n in range(11)]]
 
     def test_reference_tables_rederived_by_bruteforce(self):
         # The frozen grids in conftest are fully within the enumeration
         # guard, so the oracle revalidates every cell from scratch.
         from conftest import TABLE1_SCW, TABLE1_SW, TABLE2_SN
-        for k, row in TABLE1_SW.items():
-            assert [count_smooth_bf(n, k) for n in range(12)] == row
-        for k, row in TABLE1_SCW.items():
-            assert [count_cyclic_bf(n, k) for n in range(12)] == row
-        for k, row in TABLE2_SN.items():
-            assert [count_necklaces_bf(n, k) for n in range(12)] == row
+        for brute, table in ((sw_rows_bf, TABLE1_SW),
+                             (scw_rows_bf, TABLE1_SCW),
+                             (necklace_rows_bf, TABLE2_SN)):
+            assert brute(table, 11) == list(table.values())
 
     def test_prefix_recurrence(self):
         # count(i, n) = [n == 1] + sum of count(j, n-1) over neighbors j
@@ -171,10 +168,9 @@ class TestRows:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_rows_match_bruteforce(self, k):
-        assert sw_row(k, 9) == [count_smooth_bf(n, k) for n in range(10)]
-        assert scw_row(k, 9) == [count_cyclic_bf(n, k) for n in range(10)]
-        assert necklace_row(k, 9) == \
-            [count_necklaces_bf(n, k) for n in range(10)]
+        assert [sw_row(k, 9)] == sw_rows_bf((k,), 9)
+        assert [scw_row(k, 9)] == scw_rows_bf((k,), 9)
+        assert [necklace_row(k, 9)] == necklace_rows_bf((k,), 9)
 
     @pytest.mark.parametrize("k, n_max", [(3, -1), (3, True), (3, False),
                                           (3, 2.0), (3, "4"), (0, 5),

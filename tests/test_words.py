@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from smoothwords import words
 from smoothwords.transfer import (necklace_exact, necklace_row, scw_row,
                                   sw_row)
-from smoothwords.words import (count_cyclic_bf, count_necklaces_bf,
-                               count_smooth_bf, is_smooth, is_smooth_cyclic,
-                               necklace_row_bf, scw_row_bf, sw_row_bf)
+from smoothwords.words import (is_smooth, is_smooth_cyclic, necklace_rows_bf,
+                               scw_rows_bf, sw_rows_bf)
 
 
 def naive_canonical(word):
@@ -93,71 +92,66 @@ class TestPredicates:
 
 
 class TestCounts:
+    # A single count is entry n of its row: rows((k,), n)[0][n].
     def test_smooth_examples(self):
-        assert count_smooth_bf(2, 3) == 7
-        for k in (1, 2, 5):
-            assert count_smooth_bf(0, k) == 1
-        assert count_smooth_bf(5, 5) == 259
+        assert sw_rows_bf((3,), 2)[0][2] == 7
+        assert [row[0] for row in sw_rows_bf((1, 2, 5), 0)] == [1, 1, 1]
+        assert sw_rows_bf((5,), 5)[0][5] == 259
 
     def test_cyclic_examples(self):
-        assert count_cyclic_bf(3, 3) == 15
-        for k in (1, 3, 6):
-            assert count_cyclic_bf(1, k) == k
-        assert count_cyclic_bf(6, 4) == 340
+        assert scw_rows_bf((3,), 3)[0][3] == 15
+        assert [row[1] for row in scw_rows_bf((1, 3, 6), 1)] == [1, 3, 6]
+        assert scw_rows_bf((4,), 6)[0][6] == 340
 
     def test_necklace_examples(self):
-        assert count_necklaces_bf(3, 2) == 4
-        assert count_necklaces_bf(2, 3) == 5
-        assert count_necklaces_bf(4, 5) == 24
-        assert count_necklaces_bf(0, 9) == 1
+        assert necklace_rows_bf((2,), 3)[0][3] == 4
+        assert necklace_rows_bf((3,), 2)[0][2] == 5
+        assert necklace_rows_bf((5,), 4)[0][4] == 24
+        assert necklace_rows_bf((9,), 0)[0][0] == 1
 
     def test_counts_match_filtered_enumeration(self):
         for k in range(1, 6):
+            [sw_brute] = sw_rows_bf((k,), 8)
+            [scw_brute] = scw_rows_bf((k,), 8)
+            [sn_brute] = necklace_rows_bf((k,), 8)
             for n in range(9):
                 smooth = [w for w in all_words(n, k) if is_smooth(w, k)]
                 cyclic = [w for w in smooth if is_smooth_cyclic(w, k)]
-                assert count_smooth_bf(n, k) == len(smooth)
-                assert count_cyclic_bf(n, k) == len(cyclic)
-                assert count_necklaces_bf(n, k) == len(
-                    {naive_canonical(w) for w in cyclic})
+                assert sw_brute[n] == len(smooth)
+                assert scw_brute[n] == len(cyclic)
+                assert sn_brute[n] == len({naive_canonical(w) for w in cyclic})
 
     def test_necklaces_match_burnside(self):
-        for k in range(1, 9):  # every cell here is inside the guard
-            for n in range(13):
-                assert count_necklaces_bf(n, k) == necklace_exact(n, k)
+        # Every cell here is inside the guard.
+        assert necklace_rows_bf(range(1, 9), 12) == [
+            [necklace_exact(n, k) for n in range(13)] for k in range(1, 9)]
 
     def test_necklaces_form_no_rotation(self):
         # The oracle generates each necklace once; `words` holds no rotation
         # helper for it to canonicalise with.
         assert not [name for name in vars(words) if "rotation" in name]
-        assert count_necklaces_bf(7, 4) == 128 == necklace_exact(7, 4)
+        assert necklace_rows_bf((4,), 7)[0][7] == 128 == necklace_exact(7, 4)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 12), st.integers(1, 10))
     def test_oracles_match_rows(self, n, k):
         assume(words.admits(n, k))
-        assert count_smooth_bf(n, k) == sw_row(k, n)[n]
-        assert count_cyclic_bf(n, k) == scw_row(k, n)[n]
-        assert count_necklaces_bf(n, k) == necklace_row(k, n)[n]
+        assert sw_rows_bf((k,), n) == [sw_row(k, n)]
+        assert scw_rows_bf((k,), n) == [scw_row(k, n)]
+        assert necklace_rows_bf((k,), n) == [necklace_row(k, n)]
 
     def test_rows_match_walk_rows(self):
-        # Every length of one enumeration, against the transfer rows; a
-        # single count is the last entry of its row.
+        # Every length of one enumeration, against the transfer rows.
         for k in range(1, 7):
             for n_max in range(12):
-                rows = [(sw_row_bf(k, n_max), sw_row(k, n_max),
-                         count_smooth_bf),
-                        (scw_row_bf(k, n_max), scw_row(k, n_max),
-                         count_cyclic_bf),
-                        (necklace_row_bf(k, n_max), necklace_row(k, n_max),
-                         count_necklaces_bf)]
-                for brute, walk, count in rows:
-                    assert brute == walk
-                    assert count(n_max, k) == brute[n_max]
+                assert sw_rows_bf((k,), n_max) == [sw_row(k, n_max)]
+                assert scw_rows_bf((k,), n_max) == [scw_row(k, n_max)]
+                assert necklace_rows_bf((k,), n_max) == \
+                    [necklace_row(k, n_max)]
 
     @pytest.mark.parametrize("brute, walk", [
-        (words.sw_rows_bf, sw_row), (words.scw_rows_bf, scw_row),
-        (words.necklace_rows_bf, necklace_row)], ids=["sw", "scw", "sn"])
+        (sw_rows_bf, sw_row), (scw_rows_bf, scw_row),
+        (necklace_rows_bf, necklace_row)], ids=["sw", "scw", "sn"])
     def test_rows_of_one_walk_match_walk_rows(self, brute, walk):
         # The tally at K, cut to spans at most k, is the tally at k: every
         # row read from it matches the transfer row, k = 1..K.  A read of
@@ -184,18 +178,19 @@ class TestCounts:
                         cyclic[n] += abs(letters[-1] - first) <= 1
         for n_max in range(6):
             if words.admits(n_max, k):
-                assert sw_row_bf(k, n_max) == smooth[:n_max + 1]
-                assert scw_row_bf(k, n_max) == cyclic[:n_max + 1]
+                assert sw_rows_bf((k,), n_max) == [smooth[:n_max + 1]]
+                assert scw_rows_bf((k,), n_max) == [cyclic[:n_max + 1]]
 
     def test_short_rows_cost_nothing_per_letter(self):
         # Rows to length 0 or 1 are read off k, without a loop over the
         # letters; the smaller k fails fast should that loop come back.
         for k in (10**7, 10**18):
             start = time.perf_counter()
-            assert sw_row_bf(k, 0) == scw_row_bf(k, 0) == [1]
+            assert sw_rows_bf((k,), 0) == scw_rows_bf((k,), 0) == [[1]]
             assert time.perf_counter() - start < 0.5
         start = time.perf_counter()
-        assert sw_row_bf(10**8, 1) == scw_row_bf(10**8, 1) == [1, 10**8]
+        assert sw_rows_bf((10**8,), 1) == scw_rows_bf((10**8,), 1) == \
+            [[1, 10**8]]
         assert time.perf_counter() - start < 0.5
 
     def test_long_rows_cost_nothing_per_letter(self):
@@ -205,10 +200,10 @@ class TestCounts:
         for k, n_max in ((3 * 10**7, 2), (10**7, 3)):
             assert words.admits(n_max, k)
             start = time.perf_counter()
-            assert sw_row_bf(k, n_max) == \
-                [1, k, 3 * k - 2, 9 * k - 10][:n_max + 1]
-            assert scw_row_bf(k, n_max) == \
-                [1, k, 3 * k - 2, 7 * k - 6][:n_max + 1]
+            assert sw_rows_bf((k,), n_max) == \
+                [[1, k, 3 * k - 2, 9 * k - 10][:n_max + 1]]
+            assert scw_rows_bf((k,), n_max) == \
+                [[1, k, 3 * k - 2, 7 * k - 6][:n_max + 1]]
             assert time.perf_counter() - start < 0.5
 
     def test_rows_with_an_interior_letter_match_walk_rows(self):
@@ -218,8 +213,8 @@ class TestCounts:
         for k in range(1, 40):
             for n_max in range(10):
                 assert words.admits(n_max, k)
-                assert sw_row_bf(k, n_max) == sw_row(k, n_max)
-                assert scw_row_bf(k, n_max) == scw_row(k, n_max)
+                assert sw_rows_bf((k,), n_max) == [sw_row(k, n_max)]
+                assert scw_rows_bf((k,), n_max) == [scw_row(k, n_max)]
 
     def test_short_necklace_rows_cost_nothing_per_letter(self):
         # Only least letter 1 is walked and every other least letter is a
@@ -228,7 +223,7 @@ class TestCounts:
                  ((3 * 10**7, 2), [1, 3 * 10**7, 6 * 10**7 - 1])]
         for (k, n_max), row in cases:
             start = time.perf_counter()
-            assert necklace_row_bf(k, n_max) == row
+            assert necklace_rows_bf((k,), n_max) == [row]
             assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7])
@@ -247,45 +242,46 @@ class TestCounts:
                             and abs(w[-1] - first) <= 1):
                         least.add(min(w[i:] + w[:i] for i in range(n)))
             row[n] = len(least)
-        assert necklace_row_bf(k, n_max) == row
+        assert necklace_rows_bf((k,), n_max) == [row]
 
     def test_rows_validate_before_the_cache(self):
         # 3.0 == 3 and True == 1 as cache keys; neither may reach a row.
-        assert sw_row_bf(3, 4) == [1, 3, 7, 17, 41]
-        assert scw_row_bf(1, 4) == [1, 1, 1, 1, 1]
+        assert sw_rows_bf((3,), 4) == [[1, 3, 7, 17, 41]]
+        assert scw_rows_bf((1,), 4) == [[1, 1, 1, 1, 1]]
         with pytest.raises(ValueError):
-            sw_row_bf(3.0, 4)
+            sw_rows_bf((3.0,), 4)
         with pytest.raises(ValueError):
-            scw_row_bf(True, 4)
-        # Callers get a fresh list; changing it leaves the next answer alone.
-        row = scw_row_bf(3, 4)
-        row[4] = 0
-        assert scw_row_bf(3, 4) == scw_row(3, 4)
+            scw_rows_bf((True,), 4)
+        # Callers get fresh lists; changing one leaves the next answer alone.
+        rows = scw_rows_bf((3,), 4)
+        rows[0][4] = 0
+        assert scw_rows_bf((3,), 4) == [scw_row(3, 4)]
 
     def test_small_alphabets_count_everything(self):
         # Up to the guard's longest rows; without the span cut, k = 1 would
         # walk 3^16 step sequences at n = 17.
         for k in (1, 2):
-            for n in range(18):
-                start = time.perf_counter()
-                assert count_smooth_bf(n, k) == k ** n
-                assert count_cyclic_bf(n, k) == k ** n
-                assert time.perf_counter() - start < 0.5
+            start = time.perf_counter()
+            assert sw_rows_bf((k,), 17) == [[k ** n for n in range(18)]]
+            assert scw_rows_bf((k,), 17) == [[k ** n for n in range(18)]]
+            assert time.perf_counter() - start < 0.5
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            count_smooth_bf(20, 3)  # 3 * 3^19 > 1e8
+            sw_rows_bf((3,), 20)  # 3 * 3^19 > 1e8
         with pytest.raises(ValueError, match="brute force rejects n=25 k=3"):
-            count_smooth_bf(25, 3)
+            sw_rows_bf((3,), 25)
         with pytest.raises(ValueError, match="brute force rejects n=20 k=3"):
-            necklace_row_bf(3, 20)  # a row is guarded by its last length
+            necklace_rows_bf((3,), 20)  # a row is guarded by its last length
+        with pytest.raises(ValueError, match="brute force rejects n=17 k=3"):
+            sw_rows_bf((1, 3), 17)  # one refused alphabet refuses the read
         with pytest.raises(ValueError, match="brute force rejects"):
-            count_cyclic_bf(10**19, 3)  # refused without forming 3^(n-1)
+            scw_rows_bf((3,), 10**19)  # refused without forming 3^(n-1)
         with pytest.raises(ValueError):
-            count_cyclic_bf(18, 50)
+            scw_rows_bf((50,), 18)
         with pytest.raises(ValueError):
-            count_necklaces_bf(40, 2)
+            necklace_rows_bf((2,), 40)
         with pytest.raises(ValueError):
-            count_smooth_bf(-1, 3)
+            sw_rows_bf((3,), -1)
         with pytest.raises(ValueError):
-            count_smooth_bf(3, 0)
+            sw_rows_bf((0,), 3)
