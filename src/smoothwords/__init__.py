@@ -7,19 +7,20 @@ generating functions (`genfunc`), and trigonometric closed forms with
 validated rounding (`spectral`).
 """
 
+from ._rotations import divisors, totient
 from .chebyshev import (Poly, eval_poly, t_poly, theta_parts, theta_poly,
                         u_poly, u_zeros)
 from .genfunc import (RationalSeries, scw_gf, scw_gf_count,
-                      series_coefficient, series_coeffs, series_equal, sw_gf,
-                      sw_gf_count, sw_prefix_gf, usmani_inverse_entry)
+                      series_coefficient, series_coeffs, series_equal,
+                      sn_gf_count, sw_gf, sw_gf_count, sw_prefix_gf,
+                      usmani_inverse_entry)
 from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        exact_count, in_validated_window, residues,
                        round_validated, scw_asymptotic, scw_trig, sn_trig,
                        spectrum, sw_asymptotic, sw_trig)
-from .transfer import (divisors, matrix_power, matrix_power_apply,
-                       necklace_exact, necklace_row, scw_exact,
-                       scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
-                       sw_row, totient, transfer_matrix)
+from .transfer import (matrix_power, matrix_power_apply, necklace_exact,
+                       necklace_row, scw_exact, scw_pair_exact, scw_row,
+                       sw_exact, sw_prefix_exact, sw_row, transfer_matrix)
 from .words import (admits, is_smooth, is_smooth_cyclic, necklace_rows_bf,
                     scw_rows_bf, sw_rows_bf)
 
@@ -35,7 +36,8 @@ __all__ = [
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",
     "totient", "divisors", "usmani_inverse_entry",
-    "sw_gf", "scw_gf", "sw_gf_count", "scw_gf_count", "sw_prefix_gf",
+    "sw_gf", "scw_gf", "sw_gf_count", "scw_gf_count", "sn_gf_count",
+    "sw_prefix_gf",
     "series_coeffs", "series_coefficient",
     "series_equal",
     "spectrum", "sw_trig", "scw_trig", "sn_trig", "residues",

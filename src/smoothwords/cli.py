@@ -43,7 +43,8 @@ _FORMATS = ("md", "csv", "jsonl")
 # takes (n, k) and returns coefficient n of the "gf" generating function.
 # `_pipeline` looks the name up on every call, so a patched or wrapped
 # module attribute is the one that runs.  Necklaces have no generating
-# function.
+# function to print: their "gf count" is the rotation average of the
+# cyclic one.
 _FAMILIES = {
     "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_rows_bf",
            "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf",
@@ -53,7 +54,8 @@ _FAMILIES = {
             "leading": "scw_asymptotic", "gf": "scw_gf",
             "gf count": "scw_gf_count"},
     "sn": {"exact": "necklace_exact", "row": "necklace_row",
-           "bruteforce": "necklace_rows_bf", "trig": "sn_trig"},
+           "bruteforce": "necklace_rows_bf", "trig": "sn_trig",
+           "gf count": "sn_gf_count"},
 }
 _MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
             "trig": spectral, "leading": spectral, "gf": genfunc,
@@ -77,8 +79,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         row, = _pipeline(family, "bruteforce")((k,), n)
         value = row[n]
     elif method == "gf":
-        if "gf count" not in _FAMILIES[family]:
-            raise ValueError("no generating-function pipeline for necklaces")
         value = _pipeline(family, "gf count")(n, k)
     else:  # spectral
         value = spectral.exact_count(_pipeline(family, "trig"), n, k)

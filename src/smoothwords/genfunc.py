@@ -60,6 +60,10 @@ big-by-small products and n/2 binomial terms, against n k products for
 the series of `scw_gf`.  That cost grows like n k, and the jump's like
 k^2 log n, so from n = ``_POWER_SUMS_OVER_K * k`` on the count reads
 `scw_gf` by `series_coefficient` instead.
+
+Necklaces have no rational generating function here, so `sn_gf_count`
+takes the rotation average (`_rotations.necklaces`) of `scw_gf_count`
+over the divisors of n; no function of its own is built or printed.
 """
 from __future__ import annotations
 
@@ -71,6 +75,7 @@ import operator
 import sys
 
 from ._args import check_int
+from ._rotations import necklaces
 from .chebyshev import Poly, theta_parts, theta_poly
 
 _ONE_MINUS_3X = Poly(1, -3)
@@ -240,6 +245,20 @@ def scw_gf_count(n: int, k: int) -> int:
         binom = binom * (n - j + 2) * (n - j + 1) // ((j - 1) * j)
         total += binom * p
     return k + 2 * total
+
+
+def sn_gf_count(n: int, k: int) -> int:
+    """The smooth necklaces in [k]^n: the rotation average of
+    `scw_gf_count` at each divisor of n.
+
+    >>> sn_gf_count(7, 4), sn_gf_count(0, 10**18)
+    (128, 1)
+    """
+    # Both checks come first, as in `sw_gf_count`: the average would call
+    # a bad length the divisors argument, and never check k at n = 0.
+    check_int("word length", n, 0, sys.maxsize)
+    check_int("alphabet size", k, 1)
+    return necklaces(n, lambda m: scw_gf_count(m, k))
 
 
 def _reversed_v(k: int, degree: int) -> list[int]:

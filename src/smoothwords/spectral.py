@@ -16,7 +16,7 @@ import functools
 import math
 
 from ._args import check_int
-from .transfer import divisors, totient
+from ._rotations import rotation_sum
 
 # Largest (n, k) for which double-precision eigenvalue sums round reliably,
 # and the farthest a sum may lie from the integer it is rounded to.
@@ -85,7 +85,7 @@ def scw_trig(n: int, k: int) -> float:
 def sn_trig(n: int, k: int) -> float:
     """Smooth-necklace count as the rotation average of `scw_trig`."""
     check_int("word length", n, 1)
-    return sum(totient(d) * scw_trig(n // d, k) for d in divisors(n)) / n
+    return rotation_sum(n, lambda m: scw_trig(m, k)) / n
 
 
 def residues(m: int) -> list[float]:

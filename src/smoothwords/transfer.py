@@ -30,8 +30,10 @@ alphabets use images and small ones binary powering.  Other queries:
 
 Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
 the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
-average the cyclic counts over rotations with Euler's totient; the
-division is checked exact, since anything else is a bug.
+average the cyclic counts over rotations with Euler's totient in
+`_rotations.necklaces`, the one home of that average, which the
+generating-function and spectral pipelines use too; the division is
+checked exact, since anything else is a bug.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from itertools import islice
 from operator import add, mul
 
 from ._args import check_int
+from ._rotations import necklaces
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -219,56 +222,12 @@ def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
     return matrix_power(k, n - 1)[i - 1][j - 1]
 
 
-def divisors(m: int) -> list[int]:
-    """Sorted positive divisors of ``m``."""
-    check_int("divisors argument", m, 1)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def totient(m: int) -> int:
-    """Euler's totient of ``m``, by trial-division factorization."""
-    check_int("totient argument", m, 1)
-    result = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
-
-
-def _burnside(n: int, cyclic: Callable[[int], int]) -> int:
-    """Necklaces of length n from the cyclic-word counts ``cyclic(m)``:
-    the rotation average (1/n) sum_{d|n} phi(d) cyclic(n/d); n = 0 counts
-    the empty necklace."""
-    if n == 0:
-        return 1
-    total = sum(totient(d) * cyclic(n // d) for d in divisors(n))
-    if total % n:
-        raise AssertionError(
-            f"rotation-average sum {total} not divisible by {n}; counting bug")
-    return total // n
-
-
 def necklace_exact(n: int, k: int) -> int:
     """Number of smooth necklaces in [k]^n: the rotation average
     (1/n) sum_{d|n} phi(d) scw(n/d, k); n = 0 counts the empty necklace."""
     check_int("word length", n, 0)
     check_int("alphabet size", k, 1)
-    return _burnside(n, lambda m: scw_exact(m, k))
+    return necklaces(n, lambda m: scw_exact(m, k))
 
 
 def sw_row(k: int, n_max: int) -> list[int]:
@@ -300,4 +259,4 @@ def necklace_row(k: int, n_max: int) -> list[int]:
     """Smooth-necklace counts in [k]^n for n = 0..n_max, by the rotation
     average of one `scw_row`."""
     cyclic = scw_row(k, n_max)
-    return [_burnside(n, cyclic.__getitem__) for n in range(n_max + 1)]
+    return [necklaces(n, cyclic.__getitem__) for n in range(n_max + 1)]

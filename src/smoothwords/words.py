@@ -170,6 +170,8 @@ def _rows_bf(ks: Iterable[int], n_max: int,
     (t, s) times k + 1 - s.
     """
     check_int("word length", n_max, 0)  # first, so an empty ``ks`` is checked
+    if not isinstance(ks, Iterable):
+        raise ValueError(f"alphabet sizes must be iterable, got {ks!r}")
     ks = list(ks)
     for k in ks:
         _validate_instance(n_max, k)

@@ -47,6 +47,11 @@ TABLE = {
                                 (4,), {0: (-1,)}),
     "necklace_rows_bf no alphabet": (
         lambda n_max: sw.necklace_rows_bf((), n_max), (4,), {0: (-1,)}),
+    # Alphabet sizes that are no iterable at all, after a good length.
+    "sw_rows_bf alphabets": (sw.sw_rows_bf, ((3,), 4), {0: (3, None)}),
+    "scw_rows_bf alphabets": (sw.scw_rows_bf, ((3,), 4), {0: (3, None)}),
+    "necklace_rows_bf alphabets": (sw.necklace_rows_bf, ((3,), 4),
+                                   {0: (3, None)}),
     # One alphabet alone, read as a single row; the ids are those of the
     # former single-row readers, whose cases these rows keep.
     "sw_row_bf": (lambda k, n_max: sw.sw_rows_bf((k,), n_max)[0], (3, 4),
@@ -81,6 +86,8 @@ TABLE = {
     "scw_gf": (sw.scw_gf, (3,), {0: (0, -1)}),
     "sw_gf_count": (sw.sw_gf_count, (3, 3), {0: (-1,), 1: (0, -1)}),
     "scw_gf_count": (sw.scw_gf_count, (3, 3), {0: (-1,), 1: (0, -1)}),
+    "sn_gf_count": (sw.sn_gf_count, (3, 3), {0: (-1,), 1: (0, -1)}),
+    "sn_gf_count n=0": (sw.sn_gf_count, (0, 3), {1: (0, -1)}),
     "sw_prefix_gf": (sw.sw_prefix_gf, (2, 3), {0: (0, 4), 1: (0, 1)}),
     "usmani_inverse_entry": (sw.usmani_inverse_entry, (1, 2, 3),
                              {0: (0, 4), 1: (0, 4), 2: (0, 1)}),

@@ -7,14 +7,15 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smoothwords import chebyshev, genfunc
+from smoothwords import _rotations, chebyshev, genfunc, spectral
 from smoothwords.chebyshev import Poly
 from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
                                  scw_gf_count, series_coefficient,
-                                 series_coeffs, series_equal, sw_gf,
-                                 sw_gf_count, sw_prefix_gf,
+                                 series_coeffs, series_equal, sn_gf_count,
+                                 sw_gf, sw_gf_count, sw_prefix_gf,
                                  usmani_inverse_entry)
-from smoothwords.transfer import scw_exact, sw_exact, sw_prefix_exact
+from smoothwords.transfer import (necklace_row, scw_exact, sw_exact,
+                                  sw_prefix_exact)
 
 
 def rs(num_coeffs, den_coeffs):
@@ -235,6 +236,15 @@ class TestGfCounts:
             sw_exact(n, max(n - 1, 1)) + extra * 3 ** (n - 1)
         assert sw_gf_count(n, k) == sw_exact(n, k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 120))
+    @example(1, 0)  # the empty necklace
+    @example(2, 120)  # divisor 120 >= 50 k reads scw_gf's series
+    @example(40, 120)  # every divisor below 50 k: power sums alone
+    @example(3, 113)  # a prime length: the identity and n rotations
+    def test_sn_is_the_rotation_average_of_scw(self, k, n):
+        assert sn_gf_count(n, k) == necklace_row(k, n)[n]
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, 10, 31, 60])
     def test_reversed_v_is_rescaled_u(self, k):
         # U_k(u/2) = sum_j a_j u^j / 2^j; coefficient i of R is that of
@@ -249,7 +259,7 @@ class TestGfCounts:
 
     def test_checks_the_length_before_any_build(self):
         # Building sw_gf(10**18) would never end; a bad n must not wait.
-        for count in (sw_gf_count, scw_gf_count):
+        for count in (sw_gf_count, scw_gf_count, sn_gf_count):
             for n in (-1, 2.0, True, 10**19):
                 with pytest.raises(ValueError, match="word length"):
                     count(n, 10**18)
@@ -306,6 +316,15 @@ def test_gf_pipeline_imports_no_other_engine(module):
     # it shares no code with them, with brute force or with the spectral sums.
     names = _imported_names(pathlib.Path(module.__file__))
     assert not names & {"transfer", "words", "spectral"}
+
+
+@pytest.mark.parametrize("module", [spectral, _rotations])
+def test_spectral_sums_and_rotation_average_import_no_engine(module):
+    # The spectral sums cross-check every other pipeline, and the rotation
+    # average serves three of them, so neither reaches into an engine.
+    names = _imported_names(pathlib.Path(module.__file__))
+    assert not names & {"transfer", "words", "genfunc", "chebyshev",
+                        "spectral"}
 
 
 class TestSeriesEqual:

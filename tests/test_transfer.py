@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smoothwords import transfer
+from smoothwords import divisors, totient, transfer
 from smoothwords.chebyshev import eval_poly
-from smoothwords.transfer import (divisors, matrix_power, matrix_power_apply,
+from smoothwords.transfer import (matrix_power, matrix_power_apply,
                                   necklace_exact, necklace_row, scw_exact,
                                   scw_pair_exact, scw_row, sw_exact,
-                                  sw_prefix_exact, sw_row, totient,
-                                  transfer_matrix)
+                                  sw_prefix_exact, sw_row, transfer_matrix)
 from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
                                  series_equal, sw_gf, usmani_inverse_entry)
