@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 
@@ -111,25 +110,27 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for fam in families:
             rows.append((fam, k, _pipeline(fam, "row")(k, n_max)))
 
-    ns = list(range(n_max + 1))
+    # Output goes out a row at a time: no more than one row's text is held.
+    ns = range(n_max + 1)
     if fmt == "md":
-        header = ["n"] + [str(n) for n in ns]
-        table = [header, ["---"] * len(header)]
-        table += [[f"{fam} k={k}"] + [str(c) for c in counts]
-                  for fam, k, counts in rows]
-        for line in table:
-            print("| " + " | ".join(line) + " |")
+        print("| n | " + " | ".join(map(str, ns)) + " |")
+        print("|" + " --- |" * (n_max + 2))
+        for fam, k, counts in rows:
+            print(f"| {fam} k={k} | " + " | ".join(map(str, counts)) + " |")
     elif fmt == "csv":
         lead = "{}," if family == "both" else ""  # "both" adds a family column
-        print(lead.format("family") + "k," + ",".join(str(n) for n in ns))
+        print(lead.format("family") + "k," + ",".join(map(str, ns)))
         for fam, k, counts in rows:
-            print(lead.format(fam) + f"{k}," + ",".join(str(c) for c in counts))
+            print(lead.format(fam) + f"{k}," + ",".join(map(str, counts)))
     else:
+        # One JSON object per cell, spelt as json.dumps spells it: the
+        # family, k and method parts are fixed for the whole row.
         for fam, k, counts in rows:
             method = "burnside" if fam == "sn" else "matrix"
-            for n, c in zip(ns, counts):
-                print(json.dumps({"family": fam, "n": n, "k": k,
-                                  "method": method, "count": str(c)}))
+            head = f'{{"family": "{fam}", "n": '
+            tail = f', "k": {k}, "method": "{method}", "count": "'
+            sys.stdout.writelines(f'{head}{n}{tail}{c}"}}\n'
+                                  for n, c in enumerate(counts))
     return OK
 
 

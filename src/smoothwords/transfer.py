@@ -25,24 +25,28 @@ alphabets use images and small ones binary powering.  Other queries:
   counts (``scw_pair_exact``) read one entry of the binary power;
 * whole rows (every length n = 0..n_max at one k, as ``table`` and
   ``check`` print them) record each step of one walk instead of starting
-  over per length, O(n_max k) additions: the all-ones vector for smooth
-  words, e_0 on the cycle Z/2(k+1) folded onto 0..k+1 for cyclic words.
+  over per length: the all-ones vector for smooth words, of which only
+  the mirror-symmetric half is walked, about n_max k / 2 additions; e_0
+  on the cycle Z/2(k+1) folded onto 0..k+1 for cyclic words, about
+  n_max k additions, with 3^n kept as a running product.
 
 Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
 the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
 average the cyclic counts over rotations with Euler's totient in
-`_rotations.necklaces`, the one home of that average, which the
-generating-function and spectral pipelines use too; the division is
-checked exact, since anything else is a bug.
+`_rotations`, the one home of that average (a necklace row takes one
+pass over its cyclic row), which the generating-function and spectral
+pipelines use too; the division is checked exact, since anything else is
+a bug.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator
 from itertools import islice
 from operator import add, mul
 
 from ._args import check_int
-from ._rotations import necklaces
+from ._rotations import necklaces, necklaces_row
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -201,13 +205,15 @@ def _sw_images(n: int, k: int) -> int:
 
 def _scw_images(n: int, k: int) -> int:
     """Trace of M^n from c_n = sum_{m = 0 mod 2(k+1)} T(n, m) (`_trace`)."""
-    return _trace(n, k, _images_sum(n, 2 * (k + 1), lambda r: int(r == 0)))
+    closed = _images_sum(n, 2 * (k + 1), lambda r: int(r == 0))
+    return _trace(k, closed, 3 ** n, (-1) ** n)
 
 
-def _trace(n: int, k: int, closed: int) -> int:
+def _trace(k: int, closed: int, power: int, sign: int) -> int:
     """Trace of M^n from the ``closed`` walks of length n at 0 on the cycle
-    Z/2(k+1), whose eigenvalues are 3, -1 and each eigenvalue of M twice."""
-    return (k + 1) * closed - (3 ** n + (-1) ** n) // 2
+    Z/2(k+1), whose eigenvalues are 3, -1 and each eigenvalue of M twice;
+    the caller passes ``power`` = 3^n and ``sign`` = (-1)^n."""
+    return (k + 1) * closed - (power + sign) // 2
 
 
 def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
@@ -232,31 +238,51 @@ def necklace_exact(n: int, k: int) -> int:
 
 def sw_row(k: int, n_max: int) -> list[int]:
     """Smooth-word counts in [k]^n for n = 0..n_max, from one walk of the
-    all-ones vector: entry n is 1^T M^(n-1) 1.  O(n_max k) additions."""
+    all-ones vector w: entry n is 1^T M^(n-1) 1.  Only the first half of
+    w is walked (`_half_walk`).  About n_max k / 2 additions."""
     check_int("alphabet size", k, 1)
     check_int("n_max", n_max, 0)
-    return [1] + [sum(w) for w in islice(_walk([1] * k), n_max)]
+    if k > sys.maxsize:  # as [1] * k would: no list of k entries exists
+        raise OverflowError(f"alphabet size {k} cannot index a list")
+    odd = k % 2
+    halves = islice(_half_walk([1] * (k - k // 2), odd), n_max)
+    if odd:  # the middle entry h[-1] is counted once
+        return [1] + [2 * sum(h) - h[-1] for h in halves]
+    return [1] + [2 * sum(h) for h in halves]
+
+
+def _half_walk(h: list[int], odd: int) -> Iterator[list[int]]:
+    """Yield h, then the first half of M w, M^2 w, ... for the w of size
+    k = 2 len(h) - ``odd`` whose first ceil(k/2) entries are h and which
+    reversing the alphabet leaves unchanged, as M does: right of h[-1]
+    lies h[-1] again for even k, h[-2] for odd k and nothing for k = 1."""
+    while True:
+        yield h
+        padded = [0, *h, h[-1 - odd] if len(h) > odd else 0]
+        h = list(map(add, map(add, padded, h), padded[2:]))
 
 
 def scw_row(k: int, n_max: int) -> list[int]:
     """Smooth cyclic-word counts in [k]^n for n = 0..n_max (entry 0 is the
     empty word): `_trace` of the closed walks at 0 on the cycle Z/2(k+1),
     read off one walk of e_0 on the cycle folded by r <-> -r onto 0..k+1,
-    whose ends are mirrored rather than zero-padded.  O(n_max k) additions.
+    whose ends are mirrored rather than zero-padded.  About n_max k
+    additions; 3^n and (-1)^n are carried from one entry to the next.
     """
     check_int("alphabet size", k, 1)
     check_int("n_max", n_max, 0)
     row = [1]
     h = [1] + [0] * (k + 1)
-    for n in range(1, n_max + 1):
+    power, sign = 1, 1
+    for _ in range(n_max):
         padded = [h[1], *h, h[k]]
         h = list(map(add, map(add, padded, h), padded[2:]))
-        row.append(_trace(n, k, h[0]))
+        power, sign = 3 * power, -sign
+        row.append(_trace(k, h[0], power, sign))
     return row
 
 
 def necklace_row(k: int, n_max: int) -> list[int]:
     """Smooth-necklace counts in [k]^n for n = 0..n_max, by the rotation
     average of one `scw_row`."""
-    cyclic = scw_row(k, n_max)
-    return [necklaces(n, cyclic.__getitem__) for n in range(n_max + 1)]
+    return necklaces_row(scw_row(k, n_max))

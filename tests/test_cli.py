@@ -203,6 +203,18 @@ class TestTable:
         assert all(isinstance(r["count"], str) for r in records)
         assert len(records) == 6
 
+    @pytest.mark.parametrize("n_max", [0, 9])
+    @pytest.mark.parametrize("family", ["sw", "scw", "sn", "both"])
+    def test_jsonl_lines_are_canonical_json(self, capsys, family, n_max):
+        # Each line is spelt as json.dumps spells its record: key order and
+        # the ", " and ": " separators.
+        _, out, _ = run_cli(capsys, "table", family, "1", "4", str(n_max),
+                            "jsonl")
+        lines = out.splitlines()
+        assert len(lines) == 4 * (n_max + 1) * (2 if family == "both" else 1)
+        for line in lines:
+            assert line == json.dumps(json.loads(line))
+
     def test_bad_ranges(self, capsys):
         assert run_cli(capsys, "table", "both", "9", "3", "11", "md")[0] == 2
         assert run_cli(capsys, "table", "both", "0", "3", "11", "md")[0] == 2

@@ -1,10 +1,13 @@
 """Exact transfer-matrix counting against the brute-force oracle."""
+import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothwords import divisors, totient, transfer
+from smoothwords._rotations import necklaces, necklaces_row, totients
 from smoothwords.chebyshev import eval_poly
 from smoothwords.transfer import (matrix_power, matrix_power_apply,
                                   necklace_exact, necklace_row, scw_exact,
@@ -171,6 +174,22 @@ class TestRows:
         assert [scw_row(k, 9)] == scw_rows_bf((k,), 9)
         assert [necklace_row(k, 9)] == necklace_rows_bf((k,), 9)
 
+    @pytest.mark.parametrize("k", range(1, 42))
+    def test_half_walk_matches_full_walk(self, k):
+        # Both parities, with k = 1 (no entry right of the middle) and
+        # k = 2 (one entry, mirrored onto itself) at the edges.
+        full = [1] + [sum(w) for w in islice(transfer._walk([1] * k), 60)]
+        assert sw_row(k, 60) == full
+
+    def test_deep_rows_match_binary_powering(self):
+        # The cost rule sends scw at n = 20000 and 3000 to binary powering,
+        # which shares no code with the walk rows.
+        start = time.perf_counter()
+        row = scw_row(3, 20000)
+        assert time.perf_counter() - start < 1
+        assert row[-1] == scw_exact(20000, 3)
+        assert necklace_row(8, 3000)[-1] == necklace_exact(3000, 8)
+
     @pytest.mark.parametrize("k, n_max", [(3, -1), (3, True), (3, False),
                                           (3, 2.0), (3, "4"), (0, 5),
                                           (-2, 5), (True, 5)])
@@ -261,6 +280,27 @@ class TestNumberTheory:
         assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
         for m in range(1, 120):
             assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
+    def test_necklace_row_matches_single_averages(self, k):
+        cyclic = scw_row(k, 600)
+        assert necklaces_row(cyclic) == [necklaces(n, cyclic.__getitem__)
+                                         for n in range(601)]
+
+    def test_totient_sieve(self):
+        assert totients(2000) == [0] + [totient(m) for m in range(1, 2001)]
+        assert totients(0) == [0]
+
+    def test_necklace_row_division_is_checked(self):
+        cyclic = scw_row(4, 30)
+        cyclic[7] += 1
+        total = sum(totient(d) * cyclic[7 // d] for d in divisors(7))
+        with pytest.raises(AssertionError, match=(
+                f"^rotation-average sum {total} not divisible by 7; "
+                "counting bug$")):
+            necklaces_row(cyclic)
+        with pytest.raises(AssertionError, match=f"sum {total} not"):
+            necklaces(7, cyclic.__getitem__)
 
     def test_burnside_sum_divisible(self):
         for k in range(1, 11):
