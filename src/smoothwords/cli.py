@@ -35,6 +35,12 @@ OK, CHECK_FAILED, USAGE_ERROR, PRECISION_EXHAUSTED = 0, 1, 2, 3
 
 _FORMATS = ("md", "csv", "jsonl")
 
+# Longest row `table` and `check` compute.  At 3^n a row this long holds
+# about 10^10 bits of counts, 2.4 GB as decimal text.  Turning a row into
+# text takes time growing as n_max^3: 7 s for n_max = 20000 at k = 3 on
+# Python 3.11, so about 15 minutes at this limit.
+_N_MAX_LIMIT = 10**5
+
 
 # Each family's function in each pipeline, by name; "row" takes (k, n_max)
 # and returns the counts for n = 0..n_max, "bruteforce" takes (alphabet
@@ -102,7 +108,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n_max = _merge(args.n_max_pos, args.n_max_opt, 11, "n-max")
     fmt = _merge(args.format_pos, args.format_opt, "md", "format")
     check_int("k-min", k_min, 1, k_max)
-    check_int("n-max", n_max, 0)
+    check_int("n-max", n_max, 0, _N_MAX_LIMIT)
 
     families = ("sw", "scw") if family == "both" else (family,)
     rows = []  # (family, k, counts for n = 0..n_max)
@@ -143,7 +149,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n_max, k_max = args.n_max, args.k_max
-    check_int("n-max", n_max, 0)
+    check_int("n-max", n_max, 0, _N_MAX_LIMIT)
     check_int("k-max", k_max, 1)
 
     comparisons = 0
@@ -215,7 +221,8 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         print(f"limit {limit!r}")
         if n is not None:
             # Int true division rounds correctly, as float(Fraction) does.
-            ratio = transfer.scw_exact(n, k) / transfer.sw_exact(n, k)
+            ratio = (_pipeline("scw", "exact")(n, k)
+                     / _pipeline("sw", "exact")(n, k))
             print(f"proportion {ratio!r}")
             print(f"deviation {abs(ratio - limit)!r}")
         return OK

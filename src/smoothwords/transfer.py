@@ -6,8 +6,9 @@ computed over Python's arbitrary-precision integers, so results are exact
 at any length.
 
 Single counts (``sw_exact``, ``scw_exact``, and ``necklace_exact`` through
-``scw_exact`` at each divisor) each have two engines, and a cost rule picks
-one from (n, k) alone:
+``scw_exact`` at each divisor) each have two engines, and one door,
+`_exact`, checks the arguments, answers the empty word and lets a cost
+rule pick the engine from (n, k) alone:
 
 * the method of images: a walk on 1..k is a free walk on the integers
   reflected off 0 and k+1, so the count is a weighted sum of the
@@ -29,6 +30,11 @@ alphabets use images and small ones binary powering.  Other queries:
   the mirror-symmetric half is walked, about n_max k / 2 additions; e_0
   on the cycle Z/2(k+1) folded onto 0..k+1 for cyclic words, about
   n_max k additions, with 3^n kept as a running product.
+
+Every vector and row comes from one walk, `_walk`, the tridiagonal step
+with each end a wall (0 past it) or a mirror (an entry of the vector past
+it): walls for ``matrix_power_apply``, a wall and a mirror for the half
+walk of ``sw_row``, and two mirrors for the folded cycle of ``scw_row``.
 
 Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
 the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
@@ -70,12 +76,17 @@ def matrix_power_apply(k: int, n: int, v: list[int]) -> list[int]:
     return next(islice(_walk(list(v)), n, None))
 
 
-def _walk(w: list[int]) -> Iterator[list[int]]:
-    """Yield w, M w, M^2 w, ... for the tridiagonal M of size len(w)."""
+def _walk(h: list[int], left: int | None = None,
+          right: int | None = None) -> Iterator[list[int]]:
+    """Yield h, then each tridiagonal step of it: entry i of the next
+    vector is the sum of entries i-1, i and i+1.  Past each end lies 0 (a
+    wall, None) or the entry h[left] or h[right] (a mirror); between two
+    walls this is h, M h, M^2 h, ... for the M of size len(h)."""
     while True:
-        yield w
-        padded = [0, *w, 0]
-        w = list(map(add, map(add, padded, w), padded[2:]))
+        yield h
+        padded = [0 if left is None else h[left], *h,
+                  0 if right is None else h[right]]
+        h = list(map(add, map(add, padded, h), padded[2:]))
 
 
 def _mul_sym(a: Matrix, b: Matrix, k: int) -> Matrix:
@@ -110,13 +121,7 @@ def matrix_power(k: int, n: int) -> Matrix:
 
 def sw_exact(n: int, k: int) -> int:
     """Number of smooth words in [k]^n (1^T M^(n-1) 1 for n >= 1)."""
-    check_int("word length", n, 0)
-    check_int("alphabet size", k, 1)
-    if n == 0:
-        return 1
-    if _engine(n, k) == "images":
-        return _sw_images(n, k)
-    return _sw_binary(n, k)
+    return _exact(n, k, _sw_images, _sw_binary)
 
 
 def sw_prefix_exact(i: int, n: int, k: int) -> int:
@@ -129,13 +134,17 @@ def sw_prefix_exact(i: int, n: int, k: int) -> int:
 
 def scw_exact(n: int, k: int) -> int:
     """Number of smooth cyclic words in [k]^n (trace of M^n for n >= 1)."""
+    return _exact(n, k, _scw_images, _scw_binary)
+
+
+def _exact(n: int, k: int, images: Callable[[int, int], int],
+           binary: Callable[[int, int], int]) -> int:
+    """One count by the engine `_engine` names; n = 0 is the empty word."""
     check_int("word length", n, 0)
     check_int("alphabet size", k, 1)
     if n == 0:
         return 1
-    if _engine(n, k) == "images":
-        return _scw_images(n, k)
-    return _scw_binary(n, k)
+    return (images if _engine(n, k) == "images" else binary)(n, k)
 
 
 # Images cost about n^2 bit operations whatever k is; binary powering about
@@ -239,44 +248,33 @@ def necklace_exact(n: int, k: int) -> int:
 def sw_row(k: int, n_max: int) -> list[int]:
     """Smooth-word counts in [k]^n for n = 0..n_max, from one walk of the
     all-ones vector w: entry n is 1^T M^(n-1) 1.  Only the first half of
-    w is walked (`_half_walk`).  About n_max k / 2 additions."""
+    w is walked: reversing the alphabet leaves w unchanged, as it does M,
+    so right of the middle lies a mirror, h[-1] again for even k and h[-2]
+    for odd k, and for k = 1 a wall.  About n_max k / 2 additions."""
     check_int("alphabet size", k, 1)
     check_int("n_max", n_max, 0)
     if k > sys.maxsize:  # as [1] * k would: no list of k entries exists
         raise OverflowError(f"alphabet size {k} cannot index a list")
     odd = k % 2
-    halves = islice(_half_walk([1] * (k - k // 2), odd), n_max)
+    mirror = -1 - odd if k > 1 else None
+    halves = islice(_walk([1] * (k - k // 2), right=mirror), n_max)
     if odd:  # the middle entry h[-1] is counted once
         return [1] + [2 * sum(h) - h[-1] for h in halves]
     return [1] + [2 * sum(h) for h in halves]
-
-
-def _half_walk(h: list[int], odd: int) -> Iterator[list[int]]:
-    """Yield h, then the first half of M w, M^2 w, ... for the w of size
-    k = 2 len(h) - ``odd`` whose first ceil(k/2) entries are h and which
-    reversing the alphabet leaves unchanged, as M does: right of h[-1]
-    lies h[-1] again for even k, h[-2] for odd k and nothing for k = 1."""
-    while True:
-        yield h
-        padded = [0, *h, h[-1 - odd] if len(h) > odd else 0]
-        h = list(map(add, map(add, padded, h), padded[2:]))
 
 
 def scw_row(k: int, n_max: int) -> list[int]:
     """Smooth cyclic-word counts in [k]^n for n = 0..n_max (entry 0 is the
     empty word): `_trace` of the closed walks at 0 on the cycle Z/2(k+1),
     read off one walk of e_0 on the cycle folded by r <-> -r onto 0..k+1,
-    whose ends are mirrored rather than zero-padded.  About n_max k
-    additions; 3^n and (-1)^n are carried from one entry to the next.
+    whose ends are the mirrors h[1] and h[k].  About n_max k additions;
+    3^n and (-1)^n are carried from one entry to the next.
     """
     check_int("alphabet size", k, 1)
     check_int("n_max", n_max, 0)
     row = [1]
-    h = [1] + [0] * (k + 1)
     power, sign = 1, 1
-    for _ in range(n_max):
-        padded = [h[1], *h, h[k]]
-        h = list(map(add, map(add, padded, h), padded[2:]))
+    for h in islice(_walk([1] + [0] * (k + 1), 1, k), 1, n_max + 1):
         power, sign = 3 * power, -sign
         row.append(_trace(k, h[0], power, sign))
     return row

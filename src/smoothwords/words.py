@@ -49,7 +49,7 @@ Word = tuple[int, ...]
 # necklace walk makes about 2.3 nodes per necklace with least letter 1.
 # The k factor stays because it sets the lengths `check` compares by brute
 # force, and so its comparison count, which `perfbench/oracle.py`'s
-# `check_comparisons` recomputes from the same bound (ROADMAP.md item 4).
+# `check_comparisons` recomputes from the same bound (ROADMAP.md item 7).
 ENUMERATION_LIMIT = 10**8
 
 

@@ -398,6 +398,11 @@ ERROR_PATHS = [
     (2, "table sw 3 --k-min 2"),  # positional and flag conflict
     (2, "table both 9 3 11"),
     (2, "check --k-max 0"),
+    # n-max past the row limit: refused at once, not computed or cut by
+    # islice's own message.
+    *((2, f"table {family} 1 1 {n_max}")
+      for family in ("sw", "scw", "sn", "both") for n_max in (10**18, 10**19)),
+    (2, f"check --n-max {10**18} --k-max 1"),
     (2, "asymptotics sw --k 0 --n 5"),
     (3, "asymptotics sw --k 3 --n 2000"),  # beyond double range
 ]

@@ -249,17 +249,28 @@ class TestEngines:
         assert transfer._engine(3000, 2) == "binary"
         assert transfer._engine(300000, 1) == "binary"
 
-    def test_sw_exact_never_walks(self, monkeypatch):
-        want = {(5000, 2): sw_row(2, 5000)[5000],
-                (2000, 50): sw_row(50, 2000)[2000],
-                (300000, 1): 1}
+    def test_single_counts_never_walk(self, monkeypatch):
+        # Every row takes its steps from `_walk` and no single count does,
+        # on either side of the cost rule.
+        want = {(sw_exact, 5000, 2): sw_row(2, 5000)[5000],
+                (sw_exact, 2000, 50): sw_row(50, 2000)[2000],
+                (sw_exact, 300000, 1): 1,
+                (scw_exact, 3000, 3): scw_row(3, 3000)[3000],
+                (scw_exact, 400, 60): scw_row(60, 400)[400],
+                (necklace_exact, 720, 4): necklace_row(4, 720)[720],
+                (necklace_exact, 360, 40): necklace_row(40, 360)[360]}
+        assert {transfer._engine(n, k) for _, n, k in want} == {"images",
+                                                                "binary"}
 
-        def refuse(_):
-            raise AssertionError("sw_exact walked the tridiagonal step")
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked the tridiagonal step")
 
         monkeypatch.setattr(transfer, "_walk", refuse)
-        for (n, k), count in want.items():
-            assert sw_exact(n, k) == count
+        for (count, n, k), value in want.items():
+            assert count(n, k) == value
+        for row in (sw_row, scw_row, necklace_row):
+            with pytest.raises(AssertionError, match="walked"):
+                row(4, 10)
 
 
 class TestNumberTheory:
