@@ -33,7 +33,8 @@ class Poly:
     """Dense integer-coefficient polynomial.
 
     Trailing zero coefficients are trimmed; the zero polynomial is the
-    empty tuple.
+    empty tuple.  ``+`` and ``-`` take only another `Poly`; ``*`` takes a
+    `Poly` or an ``int`` on either side.
 
     >>> Poly(-1, 0, 4).degree
     2
@@ -69,15 +70,14 @@ class Poly:
             return self
         return Poly(*((0,) * m + self.coeffs))
 
-    def __add__(self, other: int | Poly) -> Poly:
-        other = _as_poly(other)
+    def __add__(self, other: Poly) -> Poly:
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(*(a + b for a, b in itertools.zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)))
 
-    __radd__ = __add__
-
-    def __sub__(self, other: int | Poly) -> Poly:
-        return self + (-_as_poly(other))
+    def __sub__(self, other: Poly) -> Poly:
+        return self + -other if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self) -> Poly:
         return Poly(*(-c for c in self.coeffs))
@@ -95,10 +95,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly{self.coeffs}"
-
-
-def _as_poly(v: int | Poly) -> Poly:
-    return Poly(v) if isinstance(v, int) else v
 
 
 def eval_poly(p: Poly, x):

@@ -23,17 +23,18 @@ one after another in a single pass over n, each by the linear recurrence
 ``b_n = c_n - sum_{m>=1} f_m b_{n-m}`` in exact big integers, holding
 only its last deg f values.  No polynomial GCD machinery is needed.
 
-`series_coefficient` reads a single coefficient n.  Below
-``_JUMP_OVER_DEGREE * d``, with d the degree of the factors kept, it walks
-the same series, at n d big-integer products.  From there on it jumps by
-Fiduccia's method (C. M. Fiduccia, SIAM J. Comput. 14 (1985)): past
-T = max(deg num + 1, d) the coefficients obey the order-d recurrence of
-the kept denominator F, so with chi = x^d F(1/x), monic since F(0) = 1,
+`series_coefficient` reads a single coefficient n.  With d the degree of
+the factors kept and T = max(deg num + 1, d), it walks the same series
+below T, at n d big-integer products.  From T on it jumps by Fiduccia's
+method (C. M. Fiduccia, SIAM J. Comput. 14 (1985)): past the head of T
+coefficients they obey the order-d recurrence of the kept denominator F,
+so with chi = x^d F(1/x), monic since F(0) = 1,
 ``b_n = sum_i r_i b_{T-d+i}`` for r = x^(n-T+d) mod chi.  r comes from
 binary powering.  Each square packs r into one integer in fixed-width
 signed slots (Kronecker substitution; D. Harvey, J. Symb. Comput. 44
-(2009)), so CPython's Karatsuba multiplies it, and each reduction mod chi
-is d rows of d big-by-small products: about d^2 log n products in all.
+(2009)), so CPython's Karatsuba multiplies it, and each reduction mod chi,
+after a square or a step by x, is one row of d big-by-small products per
+degree past d - 1: about d^2 log n products in all.
 
 `sw_gf` and `scw_gf` pass their leading factors and the two halves of
 theta_k from `theta_parts`, each of about half the degree of theta_k.
@@ -81,14 +82,6 @@ from .chebyshev import Poly, theta_parts, theta_poly
 _ONE_MINUS_3X = Poly(1, -3)
 _ONE_PLUS_X = Poly(1, 1)
 
-# `series_coefficient` jumps from n = _JUMP_OVER_DEGREE * d on, d the
-# degree kept.  Fitted from timings (best of 3, Python 3.11, 2 cores) of
-# the lazy series against the jump at n/d = 4..30: the last n/d where the
-# lazy series won and the first from which the jump did were 6/8 for sw
-# k=250 (d=125), 10/12 for sw k=40 (d=20), 12/14 for scw k=120 (d=120),
-# 10/12 for scw k=300 (d=300) and 6/8 for scw k=30 (d=30).
-_JUMP_OVER_DEGREE = 12
-
 # `scw_gf_count` sums power sums below n = _POWER_SUMS_OVER_K * k and reads
 # `scw_gf` by `series_coefficient` from there on.  Fitted from timings
 # (ms, best of 3 to 7 over two runs, Python 3.11, 2 cores) of the power
@@ -118,11 +111,11 @@ class RationalSeries:
     needed); a zero constant term has no power-series inverse and is
     rejected.
 
-    ``factors`` optionally gives the denominator as a product, which
-    `series_coeffs` divides by one factor at a time.  Each factor is
-    normalized to constant term +1 like the denominator, and the factors
-    must then multiply to it.  Without factors the denominator is its own
-    single factor.  Factors play no part in equality or printing.
+    ``factors`` gives the denominator as a product, which `series_coeffs`
+    divides by one factor at a time; left empty, it is the denominator
+    alone.  Each factor is normalized to constant term +1 like the
+    denominator, and the factors must then multiply to it.  Factors play
+    no part in equality or printing.
     """
 
     num: Poly
@@ -139,11 +132,8 @@ class RationalSeries:
         if c0 < 0:
             object.__setattr__(self, "num", -self.num)
             object.__setattr__(self, "den", -self.den)
-        if not self.factors:
-            object.__setattr__(self, "factors", (self.den,))
-            return
         factors = tuple(-f if f.constant_term() < 0 else f
-                        for f in self.factors)
+                        for f in self.factors or (self.den,))
         if math.prod(factors, start=Poly(1)) != self.den:
             raise ValueError("denominator factors must multiply to the "
                              "denominator")
@@ -306,18 +296,19 @@ def series_coeffs(rs: RationalSeries, n_max: int) -> list[int]:
     >>> series_coeffs(RationalSeries(Poly(1), Poly(1, -3)), 4)
     [1, 3, 9, 27, 81]
     """
-    check_int("n_max", n_max, 0)
+    # n_max + 1 entries: the most that `islice` can count is sys.maxsize.
+    check_int("n_max", n_max, 0, sys.maxsize - 1)
     return list(itertools.islice(_series(*_cancelled(rs)), n_max + 1))
 
 
 def series_coefficient(rs: RationalSeries, n: int) -> int:
     """Power-series coefficient ``n`` of ``rs``, exactly.
 
-    Below ``_JUMP_OVER_DEGREE * d``, with d the degree of the denominator
+    Below T = max(deg num + 1, d), with d the degree of the denominator
     factors the numerator does not cancel, it reads the lazy series and
-    holds none of the coefficients before n.  From there on it reads only
-    the first T = max(deg num + 1, d) coefficients and jumps to n by
-    Fiduccia's method (see the module docstring).
+    holds none of the coefficients before n.  From T on it reads only
+    those T coefficients and jumps to n by Fiduccia's method (see the
+    module docstring).
 
     >>> series_coefficient(RationalSeries(Poly(1), Poly(1, -3)), 100) == 3**100
     True
@@ -327,7 +318,7 @@ def series_coefficient(rs: RationalSeries, n: int) -> int:
     d = sum(f.degree for f in kept)
     head = max(len(num.coeffs), d)
     series = _series(num, kept)
-    if n < max(head, _JUMP_OVER_DEGREE * d):
+    if n < head:
         return next(itertools.islice(series, n, None))
     if not d:  # the series is the numerator, a polynomial of degree < n
         return 0
@@ -401,8 +392,7 @@ def _x_power_mod(e: int, low: list[int]) -> list[int]:
     for bit in range(top - 1, -1, -1):
         r = _reduced(_square(r), low)
         if e >> bit & 1:
-            c = r[-1]
-            r = [-c * low[0], *map(operator.sub, r, map(c.__mul__, low[1:]))]
+            r = _reduced([0, *r], low)
     return r
 
 

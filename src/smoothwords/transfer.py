@@ -252,7 +252,8 @@ def sw_row(k: int, n_max: int) -> list[int]:
     so right of the middle lies a mirror, h[-1] again for even k and h[-2]
     for odd k, and for k = 1 a wall.  About n_max k / 2 additions."""
     check_int("alphabet size", k, 1)
-    check_int("n_max", n_max, 0)
+    # n_max + 1 entries: the most that `islice` can count is sys.maxsize.
+    check_int("n_max", n_max, 0, sys.maxsize - 1)
     if k > sys.maxsize:  # as [1] * k would: no list of k entries exists
         raise OverflowError(f"alphabet size {k} cannot index a list")
     odd = k % 2
@@ -271,7 +272,8 @@ def scw_row(k: int, n_max: int) -> list[int]:
     3^n and (-1)^n are carried from one entry to the next.
     """
     check_int("alphabet size", k, 1)
-    check_int("n_max", n_max, 0)
+    # n_max + 1 entries: the most that `islice` can count is sys.maxsize.
+    check_int("n_max", n_max, 0, sys.maxsize - 1)
     row = [1]
     power, sign = 1, 1
     for h in islice(_walk([1] + [0] * (k + 1), 1, k), 1, n_max + 1):

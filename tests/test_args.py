@@ -4,6 +4,8 @@ Lengths, alphabet sizes, letters and indices must be ints (not bools)
 inside their range; anything else is a ValueError, never a float answer,
 a TypeError or a RecursionError from deep inside a pipeline.
 """
+import sys
+
 import pytest
 
 import smoothwords as sw
@@ -119,6 +121,20 @@ def test_integer_arguments_follow_one_rule(name):
             else:
                 escaped.append(f"{call!r} returned {result!r}")
     assert not escaped, f"{name}: " + "; ".join(escaped)
+
+
+@pytest.mark.parametrize("reader", [
+    sw.sw_row, sw.scw_row, sw.necklace_row,
+    lambda k, n_max: sw.series_coeffs(sw.sw_gf(k), n_max)],
+    ids=["sw_row", "scw_row", "necklace_row", "series_coeffs"])
+def test_row_readers_bound_n_max(reader):
+    # A row past what a list can index is refused by the one rule, before
+    # any walk starts, not by an error from deep inside one.  The bound,
+    # one below sys.maxsize for the n_max + 1 entries, is read off the
+    # message: without it, sw_row at sys.maxsize would walk for ever.
+    with pytest.raises(ValueError,
+                       match=f"n_max must be in 0..{sys.maxsize - 1}, "):
+        reader(3, 10**19)
 
 
 def test_every_export_resolves():

@@ -43,6 +43,14 @@ class TestPoly:
         assert a.shift(2) == Poly(0, 0, 1, 2)
         assert a * Poly() == Poly()
 
+    def test_sums_take_only_polys(self):
+        # An int is no polynomial to add: write Poly(c) for a constant.
+        a = Poly(1)
+        for bad in (lambda: a + 1, lambda: 1 + a, lambda: a - 1,
+                    lambda: 1 - a):
+            with pytest.raises(TypeError):
+                bad()
+
 
 class TestConstruction:
     def test_u_small(self):

@@ -143,36 +143,45 @@ def _paper_series(draw):
                                  usmani_inverse_entry(i, j, k))))
 
 
-# num of degree 30 over a denominator of degree d = 2: C*d = 24 is below
-# T = 31, so T-1 is read lazily and T, T+d-1 = 32 (r = x^(2d-1) mod chi)
-# and T+d = 33 (r = x^(2d) mod chi) are jumped to.
+# num of degree 30 over a denominator of degree d = 2: T = 31, so T-1 is
+# read lazily and T, T+d-1 = 32 (r = x^(2d-1) mod chi) and T+d = 33
+# (r = x^(2d) mod chi) are jumped to.
 _LONG_NUM = RationalSeries(Poly(*range(-15, 16)), Poly(1, -1, -1))
 # Every factor cancels: d = 0, and the series is the numerator.
 _CANCELLED = RationalSeries(Poly(2, -3, 5) * Poly(1, -3) * Poly(1, 1),
                             Poly(1, -3) * Poly(1, 1), (Poly(1, -3), Poly(1, 1)))
-_SW40_EDGE = genfunc._JUMP_OVER_DEGREE * 20  # sw k=40 keeps degree 20
+# sw k=40 keeps degree 20; n = 12 * 20 was where an earlier lazy regime
+# handed over to the jump.
+_SW40_EDGE = 240
 
 
 class TestSeriesCoefficient:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_paper_series(), _synthetic_series()),
-           st.integers(0, 400), st.sampled_from((0, None)))
-    @example(_LONG_NUM, 30, None)
-    @example(_LONG_NUM, 31, None)
-    @example(_LONG_NUM, 32, None)
-    @example(_LONG_NUM, 33, None)
-    @example(_CANCELLED, 2, None)
-    @example(_CANCELLED, 3, None)
-    @example(_CANCELLED, 400, 0)
-    @example(sw_gf(40), _SW40_EDGE - 1, None)
-    @example(sw_gf(40), _SW40_EDGE, None)
-    @example(scw_gf(7), 200, 0)
-    def test_matches_series(self, rs, n, threshold):
-        # threshold 0 jumps from T on; None keeps the fitted constant.
-        if threshold is None:
-            threshold = genfunc._JUMP_OVER_DEGREE
-        with mock.patch.object(genfunc, "_JUMP_OVER_DEGREE", threshold):
-            assert series_coefficient(rs, n) == series_coeffs(rs, n)[n]
+           st.integers(0, 400))
+    @example(_LONG_NUM, 30)
+    @example(_LONG_NUM, 31)
+    @example(_LONG_NUM, 32)
+    @example(_LONG_NUM, 33)
+    @example(_CANCELLED, 2)
+    @example(_CANCELLED, 3)
+    @example(_CANCELLED, 400)
+    @example(sw_gf(40), _SW40_EDGE - 1)
+    @example(sw_gf(40), _SW40_EDGE)
+    @example(scw_gf(7), 200)
+    def test_matches_series(self, rs, n):
+        assert series_coefficient(rs, n) == series_coeffs(rs, n)[n]
+
+    @pytest.mark.parametrize("n, jumps", [(20, False), (21, True),
+                                          (239, True)])
+    def test_jumps_from_the_head_on(self, n, jumps):
+        # sw k=40 keeps degree d = 20 under a numerator of 21 coefficients,
+        # so T = 21: n = 20 is read off the series, and every n from 21 on,
+        # however close to T, jumps.
+        with mock.patch.object(genfunc, "_x_power_mod",
+                                wraps=genfunc._x_power_mod) as power:
+            assert series_coefficient(sw_gf(40), n) == sw_exact(n, 40)
+        assert power.called == jumps
 
     def test_deep_coefficient(self):
         assert series_coefficient(RationalSeries(Poly(1), Poly(1, -3)),
