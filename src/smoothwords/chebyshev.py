@@ -34,7 +34,7 @@ class Poly:
 
     Trailing zero coefficients are trimmed; the zero polynomial is the
     empty tuple.  ``+`` and ``-`` take only another `Poly`; ``*`` takes a
-    `Poly` or an ``int`` on either side.
+    `Poly` or an ``int`` (not a ``bool``) on either side.
 
     >>> Poly(-1, 0, 4).degree
     2
@@ -83,8 +83,10 @@ class Poly:
         return Poly(*(-c for c in self.coeffs))
 
     def __mul__(self, other: int | Poly) -> Poly:
-        if isinstance(other, int):
+        if type(other) is int:  # the `check_int` rule: no bool, no float
             return Poly(*(c * other for c in self.coeffs))
+        if not isinstance(other, Poly):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

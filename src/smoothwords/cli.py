@@ -41,6 +41,13 @@ _FORMATS = ("md", "csv", "jsonl")
 # Python 3.11, so about 15 minutes at this limit.
 _N_MAX_LIMIT = 10**5
 
+# Most alphabets one `table` or `check` request covers: k-max - k-min + 1
+# for `table`, k-max for `check`.  `check` builds both generating functions
+# at every k, so its cost grows as k_max^3 or faster: at n-max 2 on Python
+# 3.11, 12 s for k-max 400 and 5 minutes at this limit.  `table both` over
+# this many alphabets takes about 1 s at n-max 11.
+_ALPHABETS_LIMIT = 1000
+
 
 # Each family's function in each pipeline, by name; "row" takes (k, n_max)
 # and returns the counts for n = 0..n_max, "bruteforce" takes (alphabet
@@ -49,18 +56,19 @@ _N_MAX_LIMIT = 10**5
 # `_pipeline` looks the name up on every call, so a patched or wrapped
 # module attribute is the one that runs.  Necklaces have no generating
 # function to print: their "gf count" is the rotation average of the
-# cyclic one.
+# cyclic one.  "row label" is no function: it is the method `table`'s JSONL
+# names for the family's "row".
 _FAMILIES = {
     "sw": {"exact": "sw_exact", "row": "sw_row", "bruteforce": "sw_rows_bf",
            "trig": "sw_trig", "leading": "sw_asymptotic", "gf": "sw_gf",
-           "gf count": "sw_gf_count"},
+           "gf count": "sw_gf_count", "row label": "matrix"},
     "scw": {"exact": "scw_exact", "row": "scw_row",
             "bruteforce": "scw_rows_bf", "trig": "scw_trig",
             "leading": "scw_asymptotic", "gf": "scw_gf",
-            "gf count": "scw_gf_count"},
+            "gf count": "scw_gf_count", "row label": "matrix"},
     "sn": {"exact": "necklace_exact", "row": "necklace_row",
            "bruteforce": "necklace_rows_bf", "trig": "sn_trig",
-           "gf count": "sn_gf_count"},
+           "gf count": "sn_gf_count", "row label": "burnside"},
 }
 _MODULES = {"exact": transfer, "row": transfer, "bruteforce": words,
             "trig": spectral, "leading": spectral, "gf": genfunc,
@@ -71,24 +79,30 @@ def _pipeline(family: str, stage: str):
     return getattr(_MODULES[stage], _FAMILIES[family][stage])
 
 
+def _exact(family: str, n: int, k: int) -> int:
+    return _pipeline(family, "exact")(n, k)
+
+
+# Each `count --method`, in the order `--help` lists them, as a reader of
+# count n of a family at alphabet k.  "matrix" is another name for "auto",
+# the exact engine; `check` compares the "spectral" reader's cells.
+_METHODS = {
+    "auto": _exact,
+    "bruteforce": lambda f, n, k: _pipeline(f, "bruteforce")((k,), n)[0][n],
+    "matrix": _exact,
+    "gf": lambda f, n, k: _pipeline(f, "gf count")(n, k),
+    "spectral": lambda f, n, k: spectral.exact_count(_pipeline(f, "trig"),
+                                                     n, k),
+}
+
+
 def _having(stage: str) -> tuple[str, ...]:
     """The families with a function in ``stage``."""
     return tuple(f for f, names in _FAMILIES.items() if stage in names)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    family, n, k, method = args.family, args.n, args.k, args.method
-    if method == "auto" or method == "matrix":
-        value = _pipeline(family, "exact")(n, k)
-    elif method == "bruteforce":
-        row, = _pipeline(family, "bruteforce")((k,), n)
-        value = row[n]
-    elif method == "gf":
-        value = _pipeline(family, "gf count")(n, k)
-    else:  # spectral
-        value = spectral.exact_count(_pipeline(family, "trig"), n, k)
-
-    print(value)
+    print(_METHODS[args.method](args.family, args.n, args.k))
     return OK
 
 
@@ -108,6 +122,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n_max = _merge(args.n_max_pos, args.n_max_opt, 11, "n-max")
     fmt = _merge(args.format_pos, args.format_opt, "md", "format")
     check_int("k-min", k_min, 1, k_max)
+    check_int("k-max", k_max, k_min, k_min + _ALPHABETS_LIMIT - 1)
     check_int("n-max", n_max, 0, _N_MAX_LIMIT)
 
     families = ("sw", "scw") if family == "both" else (family,)
@@ -132,9 +147,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # One JSON object per cell, spelt as json.dumps spells it: the
         # family, k and method parts are fixed for the whole row.
         for fam, k, counts in rows:
-            method = "burnside" if fam == "sn" else "matrix"
+            label = _FAMILIES[fam]["row label"]
             head = f'{{"family": "{fam}", "n": '
-            tail = f', "k": {k}, "method": "{method}", "count": "'
+            tail = f', "k": {k}, "method": "{label}", "count": "'
             sys.stdout.writelines(f'{head}{n}{tail}{c}"}}\n'
                                   for n, c in enumerate(counts))
     return OK
@@ -150,7 +165,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     n_max, k_max = args.n_max, args.k_max
     check_int("n-max", n_max, 0, _N_MAX_LIMIT)
-    check_int("k-max", k_max, 1)
+    check_int("k-max", k_max, 1, _ALPHABETS_LIMIT)
 
     comparisons = 0
     mismatches: list[str] = []
@@ -197,8 +212,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             want)
                 if spectral.in_validated_window(n, k):
                     try:
-                        got = spectral.exact_count(_pipeline(family, "trig"),
-                                                   n, k)
+                        got = _METHODS["spectral"](family, n, k)
                     except spectral.PrecisionExhausted as exc:
                         got = f"unroundable ({exc})"
                     compare(family, n, k, "spectral", got, want)
@@ -221,13 +235,12 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         print(f"limit {limit!r}")
         if n is not None:
             # Int true division rounds correctly, as float(Fraction) does.
-            ratio = (_pipeline("scw", "exact")(n, k)
-                     / _pipeline("sw", "exact")(n, k))
+            ratio = _exact("scw", n, k) / _exact("sw", n, k)
             print(f"proportion {ratio!r}")
             print(f"deviation {abs(ratio - limit)!r}")
         return OK
 
-    exact = _pipeline(family, "exact")(n, k)
+    exact = _exact(family, n, k)
     try:  # lambda_1^n overflows a double at large n; the exact int does not
         estimate = _pipeline(family, "leading")(n, k)
         ratio = estimate / exact
@@ -252,8 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "bruteforce", "matrix", "gf", "spectral"))
+    p.add_argument("--method", default="auto", choices=tuple(_METHODS))
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser(

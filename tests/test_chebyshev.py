@@ -51,6 +51,15 @@ class TestPoly:
             with pytest.raises(TypeError):
                 bad()
 
+    def test_products_take_only_polys_and_ints(self):
+        # A float or a bool is no integer scale, on either side.
+        a = Poly(1)
+        for bad in (lambda: a * 2.0, lambda: 2.0 * a, lambda: a * True,
+                    lambda: True * a):
+            with pytest.raises(TypeError):
+                bad()
+        assert a * 3 == 3 * a == Poly(3)
+
 
 class TestConstruction:
     def test_u_small(self):

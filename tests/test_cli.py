@@ -202,6 +202,10 @@ class TestTable:
                 "method": "matrix", "count": "7"} in records
         assert all(isinstance(r["count"], str) for r in records)
         assert len(records) == 6
+        # Necklace rows are rotation averages of the walk rows.
+        _, out, _ = run_cli(capsys, "table", "sn", "3", "3", "2", "jsonl")
+        assert json.loads(out.splitlines()[2]) == {
+            "family": "sn", "n": 2, "k": 3, "method": "burnside", "count": "5"}
 
     @pytest.mark.parametrize("n_max", [0, 9])
     @pytest.mark.parametrize("family", ["sw", "scw", "sn", "both"])
@@ -219,6 +223,10 @@ class TestTable:
         assert run_cli(capsys, "table", "both", "9", "3", "11", "md")[0] == 2
         assert run_cli(capsys, "table", "both", "0", "3", "11", "md")[0] == 2
         assert run_cli(capsys, "table", "both", "3", "7", "-1", "md")[0] == 2
+        # At most 1000 alphabets per request, wherever they start.
+        assert run_cli(capsys, "table", "sw", "2", "1001", "0", "csv")[0] == 0
+        assert run_cli(capsys, "table", "sw", "2", "1002", "0", "csv") == (
+            2, "", "error: k-max must be in 2..1001, got 1002\n")
 
     def test_row_too_large_for_memory_exits_2(self, capsys):
         # A walk row holds k integers, which 10**18 letters cannot.
@@ -321,6 +329,8 @@ class TestCheck:
     def test_bad_bounds(self, capsys):
         assert run_cli(capsys, "check", "--n-max", "-1", "--k-max", "3")[0] == 2
         assert run_cli(capsys, "check", "--n-max", "3", "--k-max", "0")[0] == 2
+        assert run_cli(capsys, "check", "--n-max", "0", "--k-max", "1001") == (
+            2, "", "error: k-max must be in 1..1000, got 1001\n")
 
 
 class TestAsymptotics:
@@ -403,6 +413,9 @@ ERROR_PATHS = [
     *((2, f"table {family} 1 1 {n_max}")
       for family in ("sw", "scw", "sn", "both") for n_max in (10**18, 10**19)),
     (2, f"check --n-max {10**18} --k-max 1"),
+    # More alphabets than one request covers: refused, not computed.
+    (2, f"table sw 1 {10**18} 0"),
+    (2, f"check --n-max 0 --k-max {10**18}"),
     (2, "asymptotics sw --k 0 --n 5"),
     (3, "asymptotics sw --k 3 --n 2000"),  # beyond double range
 ]
