@@ -18,9 +18,9 @@ from .spectral import (PrecisionExhausted, Spectrum, cyclic_proportion_limit,
                        exact_count, in_validated_window, residues,
                        round_validated, scw_asymptotic, scw_trig, sn_trig,
                        spectrum, sw_asymptotic, sw_trig)
-from .transfer import (matrix_power, matrix_power_apply, necklace_exact,
-                       necklace_row, scw_exact, scw_pair_exact, scw_row,
-                       sw_exact, sw_prefix_exact, sw_row, transfer_matrix)
+from .transfer import (necklace_exact, necklace_row, scw_exact,
+                       scw_pair_exact, scw_row, sw_exact, sw_prefix_exact,
+                       sw_row)
 from .words import (admits, is_smooth, is_smooth_cyclic, necklace_rows_bf,
                     scw_rows_bf, sw_rows_bf)
 
@@ -32,7 +32,6 @@ __all__ = [
     "eval_poly", "u_zeros",
     "is_smooth", "is_smooth_cyclic",
     "admits", "sw_rows_bf", "scw_rows_bf", "necklace_rows_bf",
-    "transfer_matrix", "matrix_power", "matrix_power_apply",
     "sw_exact", "scw_exact", "sw_prefix_exact", "scw_pair_exact",
     "necklace_exact", "sw_row", "scw_row", "necklace_row",
     "totient", "divisors", "usmani_inverse_entry",

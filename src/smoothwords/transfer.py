@@ -14,16 +14,24 @@ rule pick the engine from (n, k) alone:
   reflected off 0 and k+1, so the count is a weighted sum of the
   trinomial coefficients [x^m](1 + x + 1/x)^n over m mod 2(k+1), streamed
   by their recurrence, about n^2 bit operations and O(n) space at any k;
-* binary exponentiation of the full matrix, about k^3 n^1.585 bit
-  operations, using that powers of M are symmetric and unchanged by
-  reversing the alphabet.
+* Fiduccia's jump (`_jump`): M has the characteristic polynomial
+  chi_k = U_k((x-1)/2), built here by chi_j = (x-1) chi_{j-1} - chi_{j-2}
+  (`_chi`), so M^p = sum_{i<k} r_i M^i for r = x^p mod chi_k, and a count
+  is sum_i r_i times its first k terms.  For cyclic words these are
+  tr M^i, from Newton's identities on chi_k (`_power_sums`).  Smooth
+  words see only the vectors that reversing the alphabet leaves
+  unchanged, so they jump by the polynomial of M on their halves, of
+  order d = ceil(k/2), from the first d counts by images.  About d^2 log n
+  products of a big by a small number, and one square of d packed
+  numbers of about n bits per bit of n.
 
-Images run iff k^3 > C n^0.415, with C fitted from timings, so large
-alphabets use images and small ones binary powering.  Other queries:
+Images run iff d^2 > C n^0.524, with C fitted from timings, so large
+alphabets use images and small ones the jump.  Other queries:
 
-* first-letter counts (``sw_prefix_exact``) iterate the tridiagonal
-  matrix-vector step, O(n k) big-integer additions, and endpoint-refined
-  counts (``scw_pair_exact``) read one entry of the binary power;
+* first-letter counts (``sw_prefix_exact``) and endpoint-refined counts
+  (``scw_pair_exact``) are entry i of M^p v for v = 1 and v = e_j: read
+  off the walk of v while p < k, and from there on jumped from its first
+  k vectors by the same r, about k^2 log n products;
 * whole rows (every length n = 0..n_max at one k, as ``table`` and
   ``check`` print them) record each step of one walk instead of starting
   over per length: the all-ones vector for smooth words, of which only
@@ -33,8 +41,10 @@ alphabets use images and small ones binary powering.  Other queries:
 
 Every vector and row comes from one walk, `_walk`, the tridiagonal step
 with each end a wall (0 past it) or a mirror (an entry of the vector past
-it): walls for ``matrix_power_apply``, a wall and a mirror for the half
-walk of ``sw_row``, and two mirrors for the folded cycle of ``scw_row``.
+it): walls for the vectors of ``sw_prefix_exact`` and ``scw_pair_exact``,
+a wall and a mirror for the half walk of ``sw_row``, and two mirrors for
+the folded cycle of ``scw_row``.  No single count walks, so the rows
+witness both engines.
 
 Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
 the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
@@ -52,28 +62,8 @@ from itertools import islice
 from operator import add, mul
 
 from ._args import check_int
+from ._jump import _x_power_mod
 from ._rotations import necklaces, necklaces_row
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def transfer_matrix(k: int) -> Matrix:
-    """The k x k adjacency matrix of the smoothness step relation."""
-    check_int("alphabet size", k, 1)
-    return tuple(tuple(1 if abs(i - j) <= 1 else 0 for j in range(k))
-                 for i in range(k))
-
-
-def matrix_power_apply(k: int, n: int, v: list[int]) -> list[int]:
-    """M^n applied to ``v``, exactly; n = 0 returns a copy of ``v``.
-
-    Uses the tridiagonal structure, so each step is O(k) additions.
-    """
-    check_int("alphabet size", k, 1)
-    check_int("matrix power", n, 0)
-    if len(v) != k:
-        raise ValueError(f"vector length {len(v)} does not match k={k}")
-    return next(islice(_walk(list(v)), n, None))
 
 
 def _walk(h: list[int], left: int | None = None,
@@ -89,39 +79,9 @@ def _walk(h: list[int], left: int | None = None,
         h = list(map(add, map(add, padded, h), padded[2:]))
 
 
-def _mul_sym(a: Matrix, b: Matrix, k: int) -> Matrix:
-    # a, b are powers of M, hence symmetric, commuting and unchanged by
-    # reversing the alphabet (i <-> k-1-i), so the product is too: column
-    # j of b equals row j of b, and one entry in four is computed.
-    rows: list[list[int]] = [[0] * k for _ in range(k)]
-    for i in range((k + 1) // 2):
-        ai = a[i]
-        for j in range(i, k - i):
-            s = sum(map(mul, ai, b[j]))
-            rows[i][j] = rows[j][i] = s
-            rows[k - 1 - j][k - 1 - i] = rows[k - 1 - i][k - 1 - j] = s
-    return tuple(tuple(r) for r in rows)
-
-
-def matrix_power(k: int, n: int) -> Matrix:
-    """M^n by binary exponentiation, exactly."""
-    check_int("matrix power", n, 0)
-    result = None
-    base = transfer_matrix(k)
-    while n:
-        if n & 1:
-            result = base if result is None else _mul_sym(result, base, k)
-        n >>= 1
-        if n:
-            base = _mul_sym(base, base, k)
-    if result is None:
-        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    return result
-
-
 def sw_exact(n: int, k: int) -> int:
     """Number of smooth words in [k]^n (1^T M^(n-1) 1 for n >= 1)."""
-    return _exact(n, k, _sw_images, _sw_binary)
+    return _exact(n, k, _sw_images, _sw_jump, halved=True)
 
 
 def sw_prefix_exact(i: int, n: int, k: int) -> int:
@@ -129,44 +89,114 @@ def sw_prefix_exact(i: int, n: int, k: int) -> int:
     check_int("alphabet size", k, 1)
     check_int("first letter", i, 1, k)
     check_int("word length", n, 1)
-    return matrix_power_apply(k, n - 1, [1] * k)[i - 1]
+    return _entry(i - 1, n - 1, [1] * k)
 
 
 def scw_exact(n: int, k: int) -> int:
     """Number of smooth cyclic words in [k]^n (trace of M^n for n >= 1)."""
-    return _exact(n, k, _scw_images, _scw_binary)
+    return _exact(n, k, _scw_images, _scw_jump, halved=False)
 
 
 def _exact(n: int, k: int, images: Callable[[int, int], int],
-           binary: Callable[[int, int], int]) -> int:
-    """One count by the engine `_engine` names; n = 0 is the empty word."""
+           jump: Callable[[int, int], int], halved: bool) -> int:
+    """One count by the engine `_engine` names for a jump of order k, or
+    ceil(k/2) if ``halved``; n = 0 is the empty word."""
     check_int("word length", n, 0)
     check_int("alphabet size", k, 1)
     if n == 0:
         return 1
-    return (images if _engine(n, k) == "images" else binary)(n, k)
+    order = k - k // 2 if halved else k
+    return (images if _engine(n, order) == "images" else jump)(n, k)
 
 
-# Images cost about n^2 bit operations whatever k is; binary powering about
-# k^3 n^1.585 (k^3/2 entry products per squaring, Karatsuba on entries of
-# about n bits).  The constant rounds the median, 38, of k^3 n^-0.415
-# t_images / t_binary over 42 timings of both engines at k = 4..30,
-# n = 300..30000 (quartiles 32 and 46).
-_IMAGES_OVER_BINARY = 40
+# Images cost about n^2 bit operations whatever k is.  The jump's cost is
+# led by its last square, Karatsuba on d packed numbers of about n bits
+# for a recurrence of order d, about (d n)^1.585, so images win iff
+# d^1.585 > c n^0.415, that is d^2 > C n^0.524 (d^2 stays an exact
+# integer at any k).  Timings (ms, best of 5; at n = 100000 one run, and
+# images took 5670-5930 ms over two; Python 3.11, 2 cores) of images
+# against the jump, scw at k = d / sw at k = 2d, on both sides of the
+# crossover order d*:
+#
+#       n  images   d: jump, scw / sw, below and above d*       d*, scw / sw
+#     300    0.26    6: 0.20 / 0.26     8: 0.30 / 0.40          7.5 / 6
+#    1000    1.26   12: 0.94 / 1.14    18: 1.64 / 2.00         15.5 / 13.5
+#    3000    7.9    20: 5.8 / 6.5      26: 9.3 / 10.1            23 / 23
+#   10000   71      30: 59 / 61        42: 80 / 84               35 / 37
+#   30000  485      45: 381 / 387      55: 578 / 681             52 / 51
+#  100000 5670  60, 55: 5084 / 4965  100, 65: 12969 / 6707       64 / 60
+#
+# d*^2 n^-0.524 is 1.8-6.5 below n = 3000 and 8.0-12.2 from there on; the
+# constant rounds the median of all twelve, 8.4.
+_IMAGES_OVER_JUMP = 8
 
 
-def _engine(n: int, k: int) -> str:
-    """Name of the cheaper exact engine for one count at n >= 1."""
-    return "images" if k ** 3 > _IMAGES_OVER_BINARY * n ** 0.415 else "binary"
+def _engine(n: int, order: int) -> str:
+    """Name of the cheaper exact engine for one count at n >= 1 whose jump
+    has a recurrence of that order."""
+    if order ** 2 > _IMAGES_OVER_JUMP * n ** 0.524:
+        return "images"
+    return "jump"
 
 
-def _sw_binary(n: int, k: int) -> int:
-    return sum(map(sum, matrix_power(k, n - 1)))
+def _chi(size: int, corner: int = 1, link: int = 1) -> list[int]:
+    """Ascending coefficients of det(x I - A), for A the M of that size
+    but for A[-1][-1] = ``corner`` and A[-1][-2] = ``link``.  Expanding
+    along the last row, chi_j = (x - 1) chi_{j-1} - chi_{j-2} from
+    chi_0 = 1 and chi_{-1} = 0, with ``corner`` and ``link`` in place of
+    the two 1s at j = size; the defaults give the characteristic
+    polynomial chi_k of M itself."""
+    before, chi = [0], [1]
+    for j in range(1, size + 1):
+        a, b = (corner, link) if j == size else (1, 1)
+        before, chi = chi, [x - a * c - b * e for x, c, e in
+                            zip([0, *chi], [*chi, 0], [*before, 0, 0])]
+    return chi
 
 
-def _scw_binary(n: int, k: int) -> int:
-    p = matrix_power(k, n)
-    return sum(p[i][i] for i in range(k))
+def _power_sums(chi: list[int]) -> list[int]:
+    """tr M^i for i = 0..k-1: the power sums of the roots of the monic chi
+    of degree k, by Newton's identities
+    p_m = -m chi[k-m] - sum_{j=1}^{m-1} chi[k-j] p_{m-j}."""
+    k = len(chi) - 1
+    sums = [k]
+    for m in range(1, k):
+        sums.append(-m * chi[k - m]
+                    - sum(map(mul, chi[k - 1:k - m:-1], sums[:0:-1])))
+    return sums
+
+
+def _jumped(p: int, chi: list[int], heads: list[int]) -> int:
+    """sum_i r_i heads[i] for r = x^p mod chi: term p of a sequence whose
+    terms 0..d-1 are ``heads`` and which obeys the recurrence of chi, of
+    degree d, as u^T A^p v does with heads u^T A^i v if chi is the
+    characteristic polynomial of A (Cayley-Hamilton)."""
+    return sum(map(mul, _x_power_mod(p, chi[:-1]), heads))
+
+
+def _sw_jump(n: int, k: int) -> int:
+    # 1^T M^p 1 sees only the vectors that reversing the alphabet leaves
+    # unchanged, so it obeys the recurrence of M on their halves, as
+    # `sw_row` walks them: of size ceil(k/2), ending in a mirror that
+    # doubles the last diagonal entry (even k) or the link to the middle
+    # entry (odd k).  Its heads 1^T M^i 1 = sw(i + 1) come from images,
+    # but for sw(1) = k.
+    half = k - k // 2
+    return _jumped(n - 1, _chi(half, 2 - k % 2, 1 + k % 2),
+                   [k, *(_sw_images(m, k) for m in range(2, half + 1))])
+
+
+def _scw_jump(n: int, k: int) -> int:
+    chi = _chi(k)
+    return _jumped(n, chi, _power_sums(chi))
+
+
+def _entry(i: int, p: int, v: list[int]) -> int:
+    """Entry i of M^p v, for the M of size len(v): off the walk of v while
+    p < k, and from there on `_jumped` from entry i of its first k vectors."""
+    k = len(v)
+    heads = [h[i] for h in islice(_walk(v), min(p + 1, k))]
+    return heads[p] if p < k else _jumped(p, _chi(k), heads)
 
 
 def _trinomials(length: int) -> Iterator[int]:
@@ -234,7 +264,7 @@ def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
     check_int("word length", n, 2)
     if abs(i - j) > 1:
         return 0
-    return matrix_power(k, n - 1)[i - 1][j - 1]
+    return _entry(i - 1, n - 1, [int(m == j - 1) for m in range(k)])
 
 
 def necklace_exact(n: int, k: int) -> int:

@@ -17,10 +17,6 @@ POLY = sw.Poly(1, 1)
 
 # name -> (function, valid arguments, {argument position: out-of-range values})
 TABLE = {
-    "transfer_matrix": (sw.transfer_matrix, (3,), {0: (0, -1)}),
-    "matrix_power": (sw.matrix_power, (3, 2), {0: (0,), 1: (-1,)}),
-    "matrix_power_apply": (sw.matrix_power_apply, (3, 2, [1, 1, 1]),
-                           {0: (), 1: (-1,)}),
     "sw_exact": (sw.sw_exact, (0, 3), {0: (-1,), 1: (0, -4)}),
     "scw_exact": (sw.scw_exact, (0, 3), {0: (-1,), 1: (0, -4)}),
     "necklace_exact": (sw.necklace_exact, (0, 3), {0: (-1,), 1: (0, -3)}),

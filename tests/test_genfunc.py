@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smoothwords import _rotations, chebyshev, genfunc, spectral
+from smoothwords import _jump, _rotations, chebyshev, genfunc, spectral
 from smoothwords.chebyshev import Poly
 from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
                                  scw_gf_count, series_coefficient,
@@ -291,8 +291,8 @@ class TestPackedSquare:
     def test_round_trip(self, width, shape):
         top = 2 ** (8 * width - 1) - 1
         coeffs = [{"top": top, "-top": -top}.get(c, c) for c in shape]
-        assert genfunc._unpack(genfunc._pack(coeffs, width), len(coeffs),
-                               width) == coeffs
+        assert _jump._unpack(_jump._pack(coeffs, width), len(coeffs),
+                             width) == coeffs
 
     @pytest.mark.parametrize("r", [
         [0], [1], [-1], [7], [0, 0, 0], [1, -1, 1, -1],
@@ -303,7 +303,7 @@ class TestPackedSquare:
         [-(2**100 - 1), 0, 2**100 - 1, 1, -1],
         [3**200, -(5**80), 0, 0, 1]])
     def test_square_is_schoolbook(self, r):
-        assert genfunc._square(list(r)) == _schoolbook_square(r)
+        assert _jump._square(list(r)) == _schoolbook_square(r)
 
 
 def _imported_names(path):
@@ -322,15 +322,19 @@ def _imported_names(path):
 @pytest.mark.parametrize("module", [genfunc, chebyshev])
 def test_gf_pipeline_imports_no_other_engine(module):
     # The series is an independent cross-check of the transfer engines, so
-    # it shares no code with them, with brute force or with the spectral sums.
+    # it shares no code with them, with brute force or with the spectral
+    # sums.  It shares only the jump helper `_jump` with `transfer`, and
+    # each jump has a witness that does not use it: the walk rows for
+    # `transfer`, the lazy series `_series` here.
     names = _imported_names(pathlib.Path(module.__file__))
     assert not names & {"transfer", "words", "spectral"}
 
 
-@pytest.mark.parametrize("module", [spectral, _rotations])
+@pytest.mark.parametrize("module", [spectral, _rotations, _jump])
 def test_spectral_sums_and_rotation_average_import_no_engine(module):
     # The spectral sums cross-check every other pipeline, and the rotation
-    # average serves three of them, so neither reaches into an engine.
+    # average and the jump each serve two or three of them, so none of
+    # them reaches into an engine.
     names = _imported_names(pathlib.Path(module.__file__))
     assert not names & {"transfer", "words", "genfunc", "chebyshev",
                         "spectral"}

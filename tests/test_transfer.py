@@ -1,55 +1,58 @@
 """Exact transfer-matrix counting against the brute-force oracle."""
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothwords import divisors, totient, transfer
 from smoothwords._rotations import necklaces, necklaces_row, totients
-from smoothwords.chebyshev import eval_poly
-from smoothwords.transfer import (matrix_power, matrix_power_apply,
-                                  necklace_exact, necklace_row, scw_exact,
+from smoothwords.chebyshev import eval_poly, u_poly
+from smoothwords.transfer import (necklace_exact, necklace_row, scw_exact,
                                   scw_pair_exact, scw_row, sw_exact,
-                                  sw_prefix_exact, sw_row, transfer_matrix)
-from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
+                                  sw_prefix_exact, sw_row)
+from smoothwords.words import (is_smooth_cyclic, necklace_rows_bf,
+                               scw_rows_bf, sw_rows_bf)
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
                                  series_equal, sw_gf, usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
 
 
-class TestMatrix:
-    def test_structure(self):
-        for k in range(1, 9):
-            m = transfer_matrix(k)
-            assert all(m[i][j] == m[j][i] for i in range(k) for j in range(k))
-            assert all(m[i][i] == 1 for i in range(k))
-            assert all(m[i][j] == 0 for i in range(k) for j in range(k)
-                       if abs(i - j) > 1)
-            if k >= 2:
-                assert sum(m[0]) == sum(m[-1]) == 2
-                assert all(sum(row) == 3 for row in m[1:-1])
+class TestCharacteristicPolynomial:
+    """M pinned through chi_k = det(x I - M), which the jump reduces by."""
 
-    def test_power_apply_examples(self):
-        assert matrix_power_apply(3, 0, [1, 1, 1]) == [1, 1, 1]
-        assert matrix_power_apply(3, 1, [1, 1, 1]) == [2, 3, 2]
-        assert matrix_power_apply(3, 2, [1, 1, 1]) == [5, 7, 5]
+    def test_chi_is_shifted_chebyshev(self):
+        # det(x I - M) = U_k((x-1)/2), since M - I is the path's adjacency
+        # matrix A and det(y I - A) = U_k(y/2).  Substituting t = (x-1)/2
+        # into U_k(t) = sum_i c_i t^i gives 2^-k sum_i c_i 2^(k-i) (x-1)^i.
+        for k in range(31):
+            shifted, power = Poly(), Poly(1)  # power = (x-1)^i
+            for i, c in enumerate(u_poly(k).coeffs):
+                shifted += 2 ** (k - i) * c * power
+                power *= Poly(-1, 1)
+            assert all(c % 2 ** k == 0 for c in shifted.coeffs)
+            assert transfer._chi(k) == [c // 2 ** k for c in shifted.coeffs]
 
-    def test_power_apply_matches_full_power(self):
-        for k in range(1, 6):
-            for n in range(8):
-                p = matrix_power(k, n)
-                for col in range(k):
-                    basis = [int(i == col) for i in range(k)]
-                    assert matrix_power_apply(k, n, basis) == \
-                        [p[row][col] for row in range(k)]
+    def test_halves_multiply_to_chi(self):
+        # M keeps apart the vectors that reversing the alphabet leaves
+        # unchanged and those it negates.  On their halves it is the path
+        # with a mirror at the middle (as `_sw_jump` uses it) or a negated
+        # one, so chi_k is the product of the two halves' polynomials.
+        for k in range(1, 31):
+            m = k // 2
+            if k % 2:  # a negated vector is 0 in the middle: a wall
+                halves = transfer._chi(m + 1, 1, 2), transfer._chi(m)
+            else:  # the mirror adds the last entry, or takes it away
+                halves = transfer._chi(m, 2, 1), transfer._chi(m, 0, 1)
+            assert Poly(*halves[0]) * Poly(*halves[1]) == \
+                Poly(*transfer._chi(k))
 
-    def test_power_apply_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            matrix_power_apply(3, 2, [1, 1])
-        with pytest.raises(ValueError):
-            matrix_power_apply(3, -1, [1, 1, 1])
+    def test_newton_power_sums_are_traces(self):
+        # Entry 0 of the row is the empty word, 1; tr M^0 = tr I is k.
+        for k in range(1, 31):
+            sums = transfer._power_sums(transfer._chi(k))
+            assert sums == [k] + scw_row(k, k - 1)[1:]
 
 
 class TestExactCounts:
@@ -67,9 +70,14 @@ class TestExactCounts:
         assert scw_exact(0, 6) == 1
 
     def test_prefix_examples(self):
+        # Entry i of M^(n-1) 1: 1 1 1, then 2 3 2 and 5 7 5 at k = 3.
+        assert [sw_prefix_exact(i, n, 3) for n in (1, 2, 3)
+                for i in (1, 2, 3)] == [1, 1, 1, 2, 3, 2, 5, 7, 5]
         assert sw_prefix_exact(1, 1, 4) == 1
         assert sw_prefix_exact(2, 2, 3) == 3  # 21, 22, 23
         assert sum(sw_prefix_exact(i, 5, 5) for i in range(1, 6)) == 259
+        assert sum(sw_prefix_exact(i, 60, 7) for i in range(1, 8)) == \
+            sw_exact(60, 7)
 
     def test_prefix_complement_symmetry(self):
         for k in range(1, 8):
@@ -87,7 +95,7 @@ class TestExactCounts:
 
     def test_pair_sums_to_cyclic_count(self):
         for k in range(1, 6):
-            for n in range(2, 9):
+            for n in (*range(2, 9), 60):
                 total = sum(scw_pair_exact(i, j, n, k)
                             for i in range(1, k + 1) for j in range(1, k + 1))
                 assert total == scw_exact(n, k)
@@ -138,20 +146,16 @@ class TestOracleAgreement:
                         sum(sw_prefix_exact(j, n - 1, k) for j in neighbors)
 
     def test_pair_recurrence(self):
-        # pair(i, j, n) peels off the first step: sum over i' adjacent to i
-        # of the (i', j) entry of M^(n-2), whenever the wrap allows (i, j).
-        for k in range(1, 6):
-            for n in range(3, 11):
-                for i in range(1, k + 1):
-                    for j in range(1, k + 1):
-                        if abs(i - j) > 1:
-                            assert scw_pair_exact(i, j, n, k) == 0
-                            continue
-                        basis = [int(c == j - 1) for c in range(k)]
-                        column = matrix_power_apply(k, n - 2, basis)
-                        want = sum(column[ip - 1] for ip in (i - 1, i, i + 1)
-                                   if 1 <= ip <= k)
-                        assert scw_pair_exact(i, j, n, k) == want
+        # The reference is brute force, grouped by first and last letter,
+        # so it shares no code with the walk or the jump.
+        for k in range(1, 5):
+            for n in range(2, 8):
+                pairs = dict.fromkeys(product(range(1, k + 1), repeat=2), 0)
+                for word in product(range(1, k + 1), repeat=n):
+                    if is_smooth_cyclic(word, k):
+                        pairs[word[0], word[-1]] += 1
+                assert {(i, j): scw_pair_exact(i, j, n, k)
+                        for i, j in pairs} == pairs
 
 
 class TestRows:
@@ -181,13 +185,15 @@ class TestRows:
         full = [1] + [sum(w) for w in islice(transfer._walk([1] * k), 60)]
         assert sw_row(k, 60) == full
 
-    def test_deep_rows_match_binary_powering(self):
-        # The cost rule sends scw at n = 20000 and 3000 to binary powering,
-        # which shares no code with the walk rows.
+    def test_deep_rows_match_the_jump(self):
+        # The cost rule sends each of these single counts to the jump,
+        # which reads no walk: sw at (20000, 4) is the costliest such
+        # request of the benchmark.
         start = time.perf_counter()
         row = scw_row(3, 20000)
         assert time.perf_counter() - start < 1
         assert row[-1] == scw_exact(20000, 3)
+        assert sw_row(4, 20000)[-1] == sw_exact(20000, 4)
         assert necklace_row(8, 3000)[-1] == necklace_exact(3000, 8)
 
     @pytest.mark.parametrize("k, n_max", [(3, -1), (3, True), (3, False),
@@ -203,23 +209,23 @@ class TestEngines:
     """Both single-count engines, and the cost rule that picks between
     them, against the walk rows and the generating-function series."""
 
-    ENGINES = ((transfer._sw_images, transfer._sw_binary, sw_row),
-               (transfer._scw_images, transfer._scw_binary, scw_row))
+    ENGINES = ((transfer._sw_images, transfer._sw_jump, sw_row),
+               (transfer._scw_images, transfer._scw_jump, scw_row))
 
     @pytest.mark.parametrize("k", range(1, 41))
     def test_engines_match_rows(self, k):
-        for images, binary, row in self.ENGINES:
+        for images, jump, row in self.ENGINES:
             want = row(k, 60)
             assert [images(n, k) for n in range(1, 61)] == want[1:]
-            assert [binary(n, k) for n in range(1, 61)] == want[1:]
+            assert [jump(n, k) for n in range(1, 61)] == want[1:]
         for row, cell in TestRows.ROWS:
             assert [cell(n, k) for n in range(61)] == row(k, 60)
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 400),
            st.one_of(st.integers(1, 10), st.integers(11, 300)))
-    @example(400, 7)  # binary side of the crossover
-    @example(400, 8)  # images side
+    @example(400, 13)  # jump side of the crossover for both families
+    @example(400, 27)  # images side for both (sw jumps at order 14)
     def test_engines_match_series(self, n, k):
         # Images and the cyclic rows share the trace identity, so the
         # generating-function series is the independent witness for both.
@@ -242,12 +248,23 @@ class TestEngines:
         assert count(6, 10**18) == at_40 + (at_41 - at_40) * (10**18 - 40)
 
     def test_cost_rule(self):
-        assert transfer._engine(48, 202) == "images"
-        assert transfer._engine(36, 161) == "images"
-        assert transfer._engine(400, 8) == "images"
-        assert transfer._engine(400, 7) == "binary"
-        assert transfer._engine(3000, 2) == "binary"
-        assert transfer._engine(300000, 1) == "binary"
+        # Both sides of the edge order^2 = 8 n^0.524 at n = 400 and 10000.
+        assert transfer._engine(400, 14) == "images"
+        assert transfer._engine(400, 13) == "jump"
+        assert transfer._engine(10000, 32) == "images"
+        assert transfer._engine(10000, 31) == "jump"
+        assert transfer._engine(3000, 2) == "jump"
+        assert transfer._engine(300000, 1) == "jump"
+        # Each exact stratum of the count-deep benchmark at its nominal
+        # (n, k): scw jumps at order k, and a necklace count asks for scw
+        # at n and its divisors; sw jumps at order ceil(k/2).
+        for n, k in ((48, 202), (36, 161), (48, 200), (36, 160), (150, 120),
+                     (120, 80), (800, 50), (600, 30)):
+            assert transfer._engine(n, k) == "images"
+        assert transfer._engine(15000, 3) == "jump"
+        for n, k in ((2000, 2), (5000, 3), (8000, 4), (12500, 3), (17000, 2),
+                     (20000, 4)):
+            assert transfer._engine(n, k - k // 2) == "jump"
 
     def test_single_counts_never_walk(self, monkeypatch):
         # Every row takes its steps from `_walk` and no single count does,
@@ -260,7 +277,7 @@ class TestEngines:
                 (necklace_exact, 720, 4): necklace_row(4, 720)[720],
                 (necklace_exact, 360, 40): necklace_row(40, 360)[360]}
         assert {transfer._engine(n, k) for _, n, k in want} == {"images",
-                                                                "binary"}
+                                                                "jump"}
 
         def refuse(*args, **kwargs):
             raise AssertionError("walked the tridiagonal step")
