@@ -55,6 +55,16 @@ class TestCharacteristicPolynomial:
             assert sums == [k] + scw_row(k, k - 1)[1:]
 
 
+class TestMatrix:
+    """M^n 1, read as the first-letter counts of words of length n + 1."""
+
+    def test_power_apply_examples(self):
+        # Entry i of M^n 1 counts the smooth words of length n + 1 that
+        # start with letter i: 1 1 1, then 2 3 2 and 5 7 5 at k = 3.
+        assert [[sw_prefix_exact(i, n + 1, 3) for i in (1, 2, 3)]
+                for n in (0, 1, 2)] == [[1, 1, 1], [2, 3, 2], [5, 7, 5]]
+
+
 class TestExactCounts:
     def test_sw_examples(self):
         assert sw_exact(11, 3) == 19601
@@ -70,9 +80,6 @@ class TestExactCounts:
         assert scw_exact(0, 6) == 1
 
     def test_prefix_examples(self):
-        # Entry i of M^(n-1) 1: 1 1 1, then 2 3 2 and 5 7 5 at k = 3.
-        assert [sw_prefix_exact(i, n, 3) for n in (1, 2, 3)
-                for i in (1, 2, 3)] == [1, 1, 1, 2, 3, 2, 5, 7, 5]
         assert sw_prefix_exact(1, 1, 4) == 1
         assert sw_prefix_exact(2, 2, 3) == 3  # 21, 22, 23
         assert sum(sw_prefix_exact(i, 5, 5) for i in range(1, 6)) == 259
