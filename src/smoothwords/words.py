@@ -23,10 +23,13 @@ last by two `bytes.translate` calls.  No level wider than K is made.
 Smooth necklaces with least letter 1, whose span is their largest
 letter, are generated once each as least rotations by FKM prenecklace
 generation pruned to smooth prefixes that can still close
-(`_necklace_tally`).  No rotation of any word is formed, and nothing is
-merged by state as in the transfer DP.  The largest word walk the guard
-admits (n = 16, k = 6) holds 11.9 M bytes at its last length and peaks
-near 13 MB.
+(`_necklace_tally`).  Each child prefix is counted in its parent's loop,
+and a call is made only for prefixes shorter than n_max: at n_max = 12
+and k = 4, about 1.3 calls per counted necklace against 2.25 prefixes.
+Each counted necklace is still enumerated on its own, no rotation of any
+word is formed, and nothing is merged by state as in the transfer DP.
+The largest word walk the guard admits (n = 16, k = 6) holds 11.9 M
+bytes at its last length and peaks near 13 MB.
 
 Each family has one public reader, `sw_rows_bf`, `scw_rows_bf` or
 `necklace_rows_bf`, taking alphabet sizes ``ks`` and a depth ``n_max``;
@@ -46,7 +49,9 @@ Word = tuple[int, ...]
 # `admits` bounds k * 3^(n-1), the smooth words of length n that a walk from
 # every first letter would make.  The walks here cost less: the word walk
 # holds at most 3^(n-1) bytes at its last length whatever k is, and the
-# necklace walk makes about 2.3 nodes per necklace with least letter 1.
+# necklace walk makes about 2.3 prefixes per necklace with least letter 1,
+# counting each in its parent's loop and calling only for the prefixes
+# shorter than n (about 1.3 calls per necklace).
 # The k factor stays because it sets the lengths `check` compares by brute
 # force, and so its comparison count, which `perfbench/oracle.py`'s
 # `check_comparisons` recomputes from the same bound (ROADMAP.md item 7).
@@ -223,27 +228,43 @@ def _necklace_tally(k: int, n_max: int) -> list[list[int]]:
     of a smooth cyclic word's least rotation is both a prenecklace and
     smooth, and the extension rule does not depend on the target length,
     so the tree to depth n_max holds every shorter counted necklace too.
-    Each counted necklace is its own node; no rotation of any word is
-    formed.
+    A call to `visit` tallies a node's children in its loop, each child
+    one loop step, and recurses only into children shorter than n_max, so
+    the last level (about 43% of the nodes at n_max = 12, k = 4) makes no
+    call; a node's last letter and largest letter come down to it as
+    arguments.  Each counted necklace is its own loop step; no rotation
+    of any word is formed.
     """
     tally = [[0] * (min(k, n_max // 2 + 1) + 1) for _ in range(n_max + 1)]
     a = [0] * (n_max + 1)  # a[1..t]; a[0] unused
+    cap = [min(k, n_max + 2 - t) for t in range(n_max + 1)]  # a[t] <= cap[t]
 
-    def visit(t: int, p: int, top: int) -> None:
-        if t % p == 0 and a[t] <= 2:
-            tally[t][top] += 1
+    def visit(t: int, p: int, top: int, last: int) -> None:
+        # Tally the children of node a[1..t], which has period p, largest
+        # letter top and a[t] = last, and walk those shorter than n_max.
+        t += 1
+        repeat = a[t - p]
+        whole = t % p == 0  # a child c == repeat keeps period p; others have t
+        row = tally[t]
+        lo = last - 1 if last > repeat else repeat
+        hi = last + 1 if last < cap[t] else cap[t]
         if t < n_max:
-            prev = a[t]
-            t += 1
-            repeat = a[t - p]
-            for c in range(max(repeat, prev - 1),
-                           min(k, prev + 1, n_max + 2 - t) + 1):
+            for c in range(lo, hi + 1):
+                high = top if top >= c else c
+                if c <= 2 and (whole or c != repeat):
+                    row[high] += 1
                 a[t] = c
-                visit(t, p if c == repeat else t, top if top >= c else c)
+                visit(t, p if c == repeat else t, high, c)
+        else:  # cap[n_max] <= 2, so every letter here closes the wrap
+            for c in range(lo, hi + 1):
+                if whole or c != repeat:
+                    row[top if top >= c else c] += 1
 
     if n_max:
         a[1] = 1
-        visit(1, 1, 1)
+        tally[1][1] = 1
+        if n_max > 1:
+            visit(1, 1, 1, 1)
     return tally
 
 

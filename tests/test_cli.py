@@ -416,6 +416,7 @@ ERROR_PATHS = [
     # More alphabets than one request covers: refused, not computed.
     (2, f"table sw 1 {10**18} 0"),
     (2, f"check --n-max 0 --k-max {10**18}"),
+    (2, "gf sw --k 1001"),  # past the gf alphabet limit: refused, not built
     (2, "asymptotics sw --k 0 --n 5"),
     (3, "asymptotics sw --k 3 --n 2000"),  # beyond double range
 ]

@@ -125,6 +125,12 @@ class TestCounts:
         # Every cell here is inside the guard.
         assert necklace_rows_bf(range(1, 9), 12) == [
             [necklace_exact(n, k) for n in range(13)] for k in range(1, 9)]
+        # The deepest rows the guard admits at k <= 3, each one walk whose
+        # last level is tallied in its parents' loops.
+        assert necklace_rows_bf((1, 2, 3), 16) == [
+            necklace_row(k, 16) for k in (1, 2, 3)]
+        assert necklace_rows_bf((1, 2), 17) == [
+            necklace_row(k, 17) for k in (1, 2)]
 
     def test_necklaces_form_no_rotation(self):
         # The oracle generates each necklace once; `words` holds no rotation
