@@ -1,15 +1,19 @@
-"""Fiduccia's jump: x^e mod a monic chi, the one home of that step.
+"""Fiduccia's jump: term e of a linear recurrence, the one home of that step.
 
-A sequence that obeys the order-d linear recurrence whose characteristic
-polynomial is chi = x^d + sum_j low[j] x^j has its term e + t equal to
-sum_i r_i (term t + i) for r = x^e mod chi (C. M. Fiduccia, SIAM J.
-Comput. 14 (1985)), so d consecutive terms and r give any later one.  r
-comes from repeated squaring.  Each square packs r into one integer in
-fixed-width signed slots (Kronecker substitution; D. Harvey, J. Symb.
-Comput. 44 (2009)), so CPython's Karatsuba multiplies it, and each
-reduction mod chi, after a square or a step by x, is one row of d
-big-by-small products per degree past d - 1: about d^2 log e products in
-all.
+A sequence t that obeys the order-d linear recurrence whose characteristic
+polynomial is chi = x^d + sum_j low[j] x^j has t_e = L(x^e) for the linear
+form L(x^i) = t_i, which vanishes on the multiples of chi (C. M. Fiduccia,
+SIAM J. Comput. 14 (1985)), so d terms and x^e mod chi give any later one.
+`_term` stops the powering one step short: with s = x^(e//2) mod chi
+and s' = s, or x s mod chi for odd e, t_e = L(s s') = sum_{a,b} s_a s'_b
+t_(a+b) from the first 2d - 1 terms, so the last square, twice as wide as
+any before it, and its reduction are never formed (the transposition
+principle; Bostan, Lecerf and Schost, ISSAC 2003).  s comes from repeated
+squaring.  Each square packs s into one integer in fixed-width signed
+slots (Kronecker substitution; D. Harvey, J. Symb. Comput. 44 (2009)), so
+CPython's Karatsuba multiplies it, and each reduction mod chi, after a
+square or a step by x, is one row of d big-by-small products per degree
+past d - 1: about d^2 log e products in all, and d^2 more for the form.
 
 It imports no engine: `transfer` jumps through the characteristic
 polynomial of the transfer matrix and `genfunc` through the reversed
@@ -18,6 +22,21 @@ denominator of a generating function, each with heads of its own.
 from __future__ import annotations
 
 import operator
+
+
+def _term(e: int, low: list[int], terms: list[int]) -> int:
+    """Term e of the sequence whose first d = len(low) terms are ``terms``
+    and which obeys chi = x^d + sum_j low[j] x^j: L(s s2) for the s and
+    s2 = s' above, with the terms extended to 2d - 1 by the recurrence
+    t_(m+d) = -sum_j low[j] t_(m+j)."""
+    d = len(low)
+    t = list(terms)
+    for m in range(d - 1):
+        t.append(-sum(map(operator.mul, low, t[m:m + d])))
+    s = _x_power_mod(e >> 1, low)
+    s2 = _reduced([0, *s], low) if e & 1 else s
+    return sum(a * sum(map(operator.mul, s2, t[i:i + d]))
+               for i, a in enumerate(s))
 
 
 def _x_power_mod(e: int, low: list[int]) -> list[int]:

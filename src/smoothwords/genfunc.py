@@ -28,9 +28,12 @@ the factors kept and T = max(deg num + 1, d), it walks the same series
 below T, at n d big-integer products.  From T on it jumps by Fiduccia's
 method (C. M. Fiduccia, SIAM J. Comput. 14 (1985)): past the head of T
 coefficients they obey the order-d recurrence of the kept denominator F,
-so with chi = x^d F(1/x), monic since F(0) = 1,
-``b_n = sum_i r_i b_{T-d+i}`` for r = x^(n-T+d) mod chi, from `_jump`,
-about d^2 log n big-by-small products.  `_jump` is the one code this
+whose characteristic polynomial is chi = x^d F(1/x), monic since
+F(0) = 1, so b_n is term n-T+d of the sequence b_{T-d}, b_{T-d+1}, ...,
+which `_jump._term` reads from its first d terms as
+``sum_{a,c} s_a s'_c b_{T-d+a+c}``, for s = x^h mod chi and s' = s or
+x s mod chi with h = (n-T+d)//2: about d^2 log n big-by-small products,
+and s s' is never formed.  `_jump` is the one code this
 pipeline shares with `transfer`, which jumps through the characteristic
 polynomial of the transfer matrix; the lazy series below T is the
 witness of every jumped coefficient here, as the walk rows are there.
@@ -75,7 +78,7 @@ import operator
 import sys
 
 from ._args import check_int
-from ._jump import _x_power_mod
+from ._jump import _term
 from ._rotations import necklaces
 from .chebyshev import Poly, theta_parts, theta_poly
 
@@ -84,23 +87,24 @@ _ONE_PLUS_X = Poly(1, 1)
 
 # `scw_gf_count` sums power sums below n = _POWER_SUMS_OVER_K * k and reads
 # `scw_gf` by `series_coefficient` from there on.  Fitted from timings
-# (ms, best of 3 to 7 over two runs, Python 3.11, 2 cores) of the power
-# sums against `series_coefficient(scw_gf(k), n)`, which jumps at every n/k
-# timed here:
+# (ms, best of 9 at k <= 20, of 7 at k = 40 and 80, of 3 at k = 120, one
+# run at k = 300; caches cleared before each; Python 3.11, 2 cores) of the
+# power sums against `series_coefficient(scw_gf(k), n)`, which jumps at
+# every n/k timed here:
 #
-#   n/k        40           50           60           70         80
-#   k=10    0.6 / 0.8    0.8 / 0.8    1.0 / 0.9    1.3 / 0.9   1.1 / 0.8
-#   k=20    2.1 / 2.2    2.9 / 2.5    3.8 / 2.4    4.1 / 2.8   4.4 / 1.9
-#   k=40    7.2 / 10.0  10.6 / 12.9  15.5 / 14.9  20.8 / 18.0  17 / 15
-#   k=80     43 / 70      79 / 80      78 / 85     128 / 103
-#   k=120   142 / 257    162 / 245    298 / 434    423 / 466   465 / 393
-#   k=300  1807 / 3019  3742 / 7267  5524 / 6579
+#   n/k       30          35          40          45          50          60
+#   k=10   0.2 / 0.3   0.2 / 0.3   0.3 / 0.3   0.3 / 0.3   0.4 / 0.4   0.5 / 0.4
+#   k=20   0.7 / 0.8   0.8 / 0.9   1.0 / 0.9   1.2 / 1.0   1.4 / 1.1   3.0 / 1.7
+#   k=40   4.6 / 5.6   5.7 / 6.1   7.5 / 6.7   9.2 / 7.5  11.0 / 8.3  15.9 / 9.4
+#   k=80    14 / 20     20 / 22     28 / 25     32 / 28     41 / 37     64 / 43
+#   k=120   77 / 109   111 / 122   140 / 147   167 / 159   229 / 184   328 / 225
+#   k=300  916 / 1158 1887 / 2500 1633 / 2680 2779 / 2770 4204 / 3276 4212 / 3797
 #
-# Below n/k = 40 the power sums won at every k timed, by 1.5-3x at
-# k >= 40.  The crossover rises slowly with k, from about 50 at k <= 40
-# to 70-80 at k = 120 and past 60 at k = 300; the constant keeps to the
-# lower end.
-_POWER_SUMS_OVER_K = 50
+# The crossover lies near n/k = 40 at k = 20-80, 42 at k = 120 and 45 at
+# k = 300 (k = 10 is level from 40 to 50).  The constant takes 45: from 40
+# to 45 the power sums lose by at most 10-20% at k <= 120, and win by
+# 1.6x at k = 300.
+_POWER_SUMS_OVER_K = 45
 
 
 @dataclasses.dataclass(frozen=True)
@@ -307,8 +311,9 @@ def series_coefficient(rs: RationalSeries, n: int) -> int:
     Below T = max(deg num + 1, d), with d the degree of the denominator
     factors the numerator does not cancel, it reads the lazy series and
     holds none of the coefficients before n.  From T on it reads only
-    those T coefficients and jumps to n by Fiduccia's method (see the
-    module docstring).
+    those T coefficients and jumps to n by Fiduccia's method, as term
+    n - T + d of the sequence that starts at coefficient T - d, from its
+    first d terms by `_jump._term` (see the module docstring).
 
     >>> series_coefficient(RationalSeries(Poly(1), Poly(1, -3)), 100) == 3**100
     True
@@ -324,7 +329,7 @@ def series_coefficient(rs: RationalSeries, n: int) -> int:
         return 0
     window = list(itertools.islice(series, head))[head - d:]
     low = math.prod(kept, start=Poly(1)).coeffs[:0:-1]
-    return sum(map(operator.mul, _x_power_mod(n - head + d, low), window))
+    return _term(n - head + d, low, window)
 
 
 def _cancelled(rs: RationalSeries) -> tuple[Poly, list[Poly]]:

@@ -16,22 +16,26 @@ rule pick the engine from (n, k) alone:
   by their recurrence, about n^2 bit operations and O(n) space at any k;
 * Fiduccia's jump (`_jump`): M has the characteristic polynomial
   chi_k = U_k((x-1)/2), built here by chi_j = (x-1) chi_{j-1} - chi_{j-2}
-  (`_chi`), so M^p = sum_{i<k} r_i M^i for r = x^p mod chi_k, and a count
-  is sum_i r_i times its first k terms.  For cyclic words these are
-  tr M^i, from Newton's identities on chi_k (`_power_sums`).  Smooth
-  words see only the vectors that reversing the alphabet leaves
-  unchanged, so they jump by the polynomial of M on their halves, of
-  order d = ceil(k/2), from the first d counts by images.  About d^2 log n
-  products of a big by a small number, and one square of d packed
-  numbers of about n bits per bit of n.
+  (`_chi`), so by Cayley-Hamilton the terms u^T M^p v (p = 0, 1, ...) of
+  a count obey the recurrence of chi_k, and `_jump._term` reads term p
+  from the first k as the bilinear form sum_{a,b} s_a s'_b t_(a+b) of
+  s = x^(p//2) mod chi_k, s' = s or x s mod chi_k, and the first 2k - 1
+  terms t.  For cyclic words these are tr M^i, from Newton's identities
+  on chi_k (`_power_sums`).  Smooth words see only the vectors that
+  reversing the alphabet leaves unchanged, so they jump by the polynomial
+  of M on their halves, of order d = ceil(k/2), from the first d counts
+  by images.  About d^2 log n products of a big by a small number, and
+  one square of d packed numbers per bit of n but the last, the widest of
+  about n/2 bits; for the last bit the form takes d products of two
+  numbers of about n/2 bits, and s s' is never formed.
 
 Images run iff d^2 > C n^0.524, with C fitted from timings, so large
 alphabets use images and small ones the jump.  Other queries:
 
 * first-letter counts (``sw_prefix_exact``) and endpoint-refined counts
   (``scw_pair_exact``) are entry i of M^p v for v = 1 and v = e_j: read
-  off the walk of v while p < k, and from there on jumped from its first
-  k vectors by the same r, about k^2 log n products;
+  off the walk of v while p < k, and from there on jumped by `_term`
+  from its first k vectors, about k^2 log n products;
 * whole rows (every length n = 0..n_max at one k, as ``table`` and
   ``check`` print them) record each step of one walk instead of starting
   over per length: the all-ones vector for smooth words, of which only
@@ -62,7 +66,7 @@ from itertools import islice
 from operator import add, mul
 
 from ._args import check_int
-from ._jump import _x_power_mod
+from ._jump import _term
 from ._rotations import necklaces, necklaces_row
 
 
@@ -110,25 +114,32 @@ def _exact(n: int, k: int, images: Callable[[int, int], int],
 
 
 # Images cost about n^2 bit operations whatever k is.  The jump's cost is
-# led by its last square, Karatsuba on d packed numbers of about n bits
-# for a recurrence of order d, about (d n)^1.585, so images win iff
+# led by its widest squares, Karatsuba on d packed numbers of about n/2
+# bits for a recurrence of order d, about (d n)^1.585, so images win iff
 # d^1.585 > c n^0.415, that is d^2 > C n^0.524 (d^2 stays an exact
-# integer at any k).  Timings (ms, best of 5; at n = 100000 one run, and
-# images took 5670-5930 ms over two; Python 3.11, 2 cores) of images
-# against the jump, scw at k = d / sw at k = 2d, on both sides of the
-# crossover order d*:
+# integer at any k).  Timings (ms, best of 15 to n = 1000, of 7 at 3000,
+# of 3 at 10000 and 30000, one run at 100000; Python 3.11, 2 cores) of
+# images against the jump, scw at k = d and sw at k = 2d, at the last d
+# timed at which the jump wins and the first at which it loses:
 #
-#       n  images   d: jump, scw / sw, below and above d*       d*, scw / sw
-#     300    0.26    6: 0.20 / 0.26     8: 0.30 / 0.40          7.5 / 6
-#    1000    1.26   12: 0.94 / 1.14    18: 1.64 / 2.00         15.5 / 13.5
-#    3000    7.9    20: 5.8 / 6.5      26: 9.3 / 10.1            23 / 23
-#   10000   71      30: 59 / 61        42: 80 / 84               35 / 37
-#   30000  485      45: 381 / 387      55: 578 / 681             52 / 51
-#  100000 5670  60, 55: 5084 / 4965  100, 65: 12969 / 6707       64 / 60
+#       n     scw: d  images / jump        sw: d  images / jump   d*, scw / sw
+#     300          8    0.14 / 0.14            7    0.27 / 0.26
+#                  9    0.14 / 0.16            8    0.28 / 0.30      8.5 / 7.5
+#    1000         20    1.21 / 1.18           17    0.84 / 0.82
+#                 21    1.19 / 1.32           18    0.84 / 0.88     20.5 / 17.5
+#    3000         36    7.5 / 7.4             32    8.0 / 7.6
+#                 38    7.6 / 8.5             34    8.0 / 8.6         37 / 33
+#   10000         56     51 / 43              56     55 / 46
+#                 64     53 / 55              64     65 / 97          60 / 60
+#   30000         80    413 / 363             80    473 / 367
+#                 90    446 / 563             90    415 / 463         85 / 85
+#  100000        120   5043 / 4357           100   5553 / 3941
+#                140   5102 / 6748           120   5951 / 6295       130 / 110
 #
-# d*^2 n^-0.524 is 1.8-6.5 below n = 3000 and 8.0-12.2 from there on; the
-# constant rounds the median of all twelve, 8.4.
-_IMAGES_OVER_JUMP = 8
+# d*^2 n^-0.524 is 2.8-11.3 below n = 3000, where the jump's d^2 log n
+# big-by-small products weigh more than its squares, and 16-41 from there
+# on; the constant rounds the median of all twelve, 24.75.
+_IMAGES_OVER_JUMP = 25
 
 
 def _engine(n: int, order: int) -> str:
@@ -166,14 +177,6 @@ def _power_sums(chi: list[int]) -> list[int]:
     return sums
 
 
-def _jumped(p: int, chi: list[int], heads: list[int]) -> int:
-    """sum_i r_i heads[i] for r = x^p mod chi: term p of a sequence whose
-    terms 0..d-1 are ``heads`` and which obeys the recurrence of chi, of
-    degree d, as u^T A^p v does with heads u^T A^i v if chi is the
-    characteristic polynomial of A (Cayley-Hamilton)."""
-    return sum(map(mul, _x_power_mod(p, chi[:-1]), heads))
-
-
 def _sw_jump(n: int, k: int) -> int:
     # 1^T M^p 1 sees only the vectors that reversing the alphabet leaves
     # unchanged, so it obeys the recurrence of M on their halves, as
@@ -182,21 +185,23 @@ def _sw_jump(n: int, k: int) -> int:
     # entry (odd k).  Its heads 1^T M^i 1 = sw(i + 1) come from images,
     # but for sw(1) = k.
     half = k - k // 2
-    return _jumped(n - 1, _chi(half, 2 - k % 2, 1 + k % 2),
-                   [k, *(_sw_images(m, k) for m in range(2, half + 1))])
+    return _term(n - 1, _chi(half, 2 - k % 2, 1 + k % 2)[:-1],
+                 [k, *(_sw_images(m, k) for m in range(2, half + 1))])
 
 
 def _scw_jump(n: int, k: int) -> int:
     chi = _chi(k)
-    return _jumped(n, chi, _power_sums(chi))
+    return _term(n, chi[:-1], _power_sums(chi))
 
 
 def _entry(i: int, p: int, v: list[int]) -> int:
     """Entry i of M^p v, for the M of size len(v): off the walk of v while
-    p < k, and from there on `_jumped` from entry i of its first k vectors."""
+    p < k, and from there on `_jump._term` of the sequence of entry i of
+    M^j v, which obeys the recurrence of chi_k (Cayley-Hamilton), from its
+    first k terms."""
     k = len(v)
     heads = [h[i] for h in islice(_walk(v), min(p + 1, k))]
-    return heads[p] if p < k else _jumped(p, _chi(k), heads)
+    return heads[p] if p < k else _term(p, _chi(k)[:-1], heads)
 
 
 def _trinomials(length: int) -> Iterator[int]:

@@ -1,6 +1,7 @@
 """Rational generating functions: closed forms, series extraction, identities."""
 import ast
 import math
+import operator
 import pathlib
 from unittest import mock
 
@@ -177,11 +178,11 @@ class TestSeriesCoefficient:
     def test_jumps_from_the_head_on(self, n, jumps):
         # sw k=40 keeps degree d = 20 under a numerator of 21 coefficients,
         # so T = 21: n = 20 is read off the series, and every n from 21 on,
-        # however close to T, jumps.
-        with mock.patch.object(genfunc, "_x_power_mod",
-                                wraps=genfunc._x_power_mod) as power:
+        # however close to T, jumps through `_jump._term`.
+        with mock.patch.object(genfunc, "_term",
+                               wraps=genfunc._term) as jump:
             assert series_coefficient(sw_gf(40), n) == sw_exact(n, 40)
-        assert power.called == jumps
+        assert jump.called == jumps
 
     def test_deep_coefficient(self):
         assert series_coefficient(RationalSeries(Poly(1), Poly(1, -3)),
@@ -203,14 +204,14 @@ class TestGfCounts:
     @example(1, 0, None)
     @example(1, 7, None)
     @example(2, 9, None)
-    @example(7, 349, None)  # odd k, the last n below 50 k
-    @example(7, 350, None)  # the first n from which scw_gf is read
+    @example(7, 314, None)  # odd k, the last n below 45 k
+    @example(7, 315, None)  # the first n from which scw_gf is read
     @example(8, 399, None)  # even k
     @example(301, 400, None)  # odd k: a zero u = 0 and k // 2 pairs
     @example(300, 400, 0)
     def test_scw_matches_series(self, k, n, ratio):
         # ratio 0 reads scw_gf at every n; None keeps the fitted constant,
-        # which sums power sums for every n < 50 k.
+        # which sums power sums for every n < 45 k.
         if ratio is None:
             ratio = genfunc._POWER_SUMS_OVER_K
         with mock.patch.object(genfunc, "_POWER_SUMS_OVER_K", ratio):
@@ -248,8 +249,8 @@ class TestGfCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 120))
     @example(1, 0)  # the empty necklace
-    @example(2, 120)  # divisor 120 >= 50 k reads scw_gf's series
-    @example(40, 120)  # every divisor below 50 k: power sums alone
+    @example(2, 120)  # divisor 120 >= 45 k reads scw_gf's series
+    @example(40, 120)  # every divisor below 45 k: power sums alone
     @example(3, 113)  # a prime length: the identity and n rotations
     def test_sn_is_the_rotation_average_of_scw(self, k, n):
         assert sn_gf_count(n, k) == necklace_row(k, n)[n]
@@ -304,6 +305,48 @@ class TestPackedSquare:
         [3**200, -(5**80), 0, 0, 1]])
     def test_square_is_schoolbook(self, r):
         assert _jump._square(list(r)) == _schoolbook_square(r)
+
+
+def _unrolled_term(e, low, terms):
+    """Term e of the recurrence t_(m+d) = -sum_j low[j] t_(m+j), step by step."""
+    t = list(terms)
+    while len(t) <= e:
+        t.append(-sum(map(operator.mul, low, t[-len(low):])))
+    return t[e]
+
+
+_COEFFICIENTS = st.one_of(st.just(0), st.integers(-3, 3),
+                          st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _recurrences(draw):
+    """(e, low, terms) of order d = 1..12: e below d, in d..2d-2 (a term
+    that the extension to 2d - 1 terms computes itself), or up to 600."""
+    d = draw(st.integers(1, 12))
+    low = draw(st.lists(_COEFFICIENTS, min_size=d, max_size=d))
+    terms = draw(st.lists(_COEFFICIENTS, min_size=d, max_size=d))
+    e = draw(st.one_of(st.integers(0, d - 1),
+                       st.integers(d, max(d, 2 * d - 2)),
+                       st.integers(0, 600)))
+    return e, low, terms
+
+
+class TestJumpTerm:
+    @settings(max_examples=300, deadline=None)
+    @given(_recurrences())
+    @example((0, [0], [0]))
+    @example((0, [5], [7]))
+    @example((1, [5], [7]))
+    @example((3, [0, 0, 0], [1, 2, 3]))  # chi = x^3: every later term is 0
+    @example((4, [0, 0, 1], [0, 0, 1]))  # e = 2d - 2, zeros in low and terms
+    @example((600, [-1, -1], [0, 1]))  # Fibonacci, even e
+    @example((599, [-1, -1], [0, 1]))  # odd e
+    @example((597, [3, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 1],  # d = 12, sparse
+              [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]))
+    def test_matches_unrolled_recurrence(self, case):
+        e, low, terms = case
+        assert _jump._term(e, low, terms) == _unrolled_term(e, low, terms)
 
 
 def _imported_names(path):

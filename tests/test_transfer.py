@@ -255,11 +255,11 @@ class TestEngines:
         assert count(6, 10**18) == at_40 + (at_41 - at_40) * (10**18 - 40)
 
     def test_cost_rule(self):
-        # Both sides of the edge order^2 = 8 n^0.524 at n = 400 and 10000.
-        assert transfer._engine(400, 14) == "images"
-        assert transfer._engine(400, 13) == "jump"
-        assert transfer._engine(10000, 32) == "images"
-        assert transfer._engine(10000, 31) == "jump"
+        # Both sides of the edge order^2 = 25 n^0.524 at n = 400 and 10000.
+        assert transfer._engine(400, 25) == "images"
+        assert transfer._engine(400, 24) == "jump"
+        assert transfer._engine(10000, 56) == "images"
+        assert transfer._engine(10000, 55) == "jump"
         assert transfer._engine(3000, 2) == "jump"
         assert transfer._engine(300000, 1) == "jump"
         # Each exact stratum of the count-deep benchmark at its nominal
