@@ -6,10 +6,9 @@ All construction and arithmetic is exact; floating point enters only when
 the caller evaluates at a float (`eval_poly`) or asks for zeros
 (`u_zeros`).
 
-Three families are built here:
+Two families are built here:
 
 * ``u_poly(r)`` -- second kind, ``U_r(cos t) = sin((r+1)t)/sin(t)``;
-* ``t_poly(r)`` -- first kind, ``T_r(cos t) = cos(r t)``;
 * ``theta_poly(i)`` -- the rationalizing family ``theta_i(x) =
   x^i U_i((1-x)/(2x))``, computed by its own integer recurrence so that
   the bridge to ``u_poly`` stays an independent cross-check.
@@ -130,19 +129,6 @@ def u_poly(r: int) -> Poly:
     for _ in range(r + 1):
         prev, cur = cur, Poly(0, 2) * cur - prev
     return cur
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def t_poly(r: int) -> Poly:
-    """Chebyshev polynomial of the first kind, T_r = (U_r - U_{r-2})/2.
-
-    >>> t_poly(2)
-    Poly(-1, 0, 2)
-    """
-    check_int("t_poly index", r, 0)
-    diff = u_poly(r) - u_poly(r - 2)
-    # U_r - U_{r-2} = 2 T_r always has even coefficients.
-    return Poly(*(c // 2 for c in diff.coeffs))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

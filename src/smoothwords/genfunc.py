@@ -382,4 +382,6 @@ def _exact_quotient(num: Poly, f: Poly) -> Poly | None:
 def series_equal(a: RationalSeries, b: RationalSeries) -> bool:
     """True iff the two ratios denote the same series (cross-multiplied,
     so unreduced common factors do not matter)."""
+    if not isinstance(a, RationalSeries) or not isinstance(b, RationalSeries):
+        raise TypeError(f"series_equal takes RationalSeries, got {(a, b)!r}")
     return a.num * b.den == b.num * a.den

@@ -30,25 +30,18 @@ rule pick the engine from (n, k) alone:
   numbers of about n/2 bits, and s s' is never formed.
 
 Images run iff d^2 > C n^0.524, with C fitted from timings, so large
-alphabets use images and small ones the jump.  Other queries:
+alphabets use images and small ones the jump.
 
-* first-letter counts (``sw_prefix_exact``) and endpoint-refined counts
-  (``scw_pair_exact``) are entry i of M^p v for v = 1 and v = e_j: read
-  off the walk of v while p < k, and from there on jumped by `_term`
-  from its first k vectors, about k^2 log n products;
-* whole rows (every length n = 0..n_max at one k, as ``table`` and
-  ``check`` print them) record each step of one walk instead of starting
-  over per length: the all-ones vector for smooth words, of which only
-  the mirror-symmetric half is walked, about n_max k / 2 additions; e_0
-  on the cycle Z/2(k+1) folded onto 0..k+1 for cyclic words, about
-  n_max k additions, with 3^n kept as a running product.
-
-Every vector and row comes from one walk, `_walk`, the tridiagonal step
-with each end a wall (0 past it) or a mirror (an entry of the vector past
-it): walls for the vectors of ``sw_prefix_exact`` and ``scw_pair_exact``,
-a wall and a mirror for the half walk of ``sw_row``, and two mirrors for
-the folded cycle of ``scw_row``.  No single count walks, so the rows
-witness both engines.
+Whole rows (every length n = 0..n_max at one k, as ``table`` and
+``check`` print them) record each step of one walk instead of starting
+over per length: the all-ones vector for smooth words, of which only the
+mirror-symmetric half is walked, about n_max k / 2 additions; e_0 on the
+cycle Z/2(k+1) folded onto 0..k+1 for cyclic words, about n_max k
+additions, with 3^n kept as a running product.  Every row comes from one
+walk, `_walk`, the tridiagonal step with each end a wall (0 past it) or a
+mirror (an entry of the vector past it): a wall and a mirror for the half
+walk of ``sw_row``, and two mirrors for the folded cycle of ``scw_row``.
+No single count walks, so the rows witness both engines.
 
 Every cyclic count is trace M^n = (k+1) c_n - (3^n + (-1)^n)/2, with c_n
 the closed walks at 0 on the cycle Z/2(k+1) (`_trace`).  Necklace counts
@@ -86,14 +79,6 @@ def _walk(h: list[int], left: int | None = None,
 def sw_exact(n: int, k: int) -> int:
     """Number of smooth words in [k]^n (1^T M^(n-1) 1 for n >= 1)."""
     return _exact(n, k, _sw_images, _sw_jump, halved=True)
-
-
-def sw_prefix_exact(i: int, n: int, k: int) -> int:
-    """Number of smooth words in [k]^n whose first letter is ``i``."""
-    check_int("alphabet size", k, 1)
-    check_int("first letter", i, 1, k)
-    check_int("word length", n, 1)
-    return _entry(i - 1, n - 1, [1] * k)
 
 
 def scw_exact(n: int, k: int) -> int:
@@ -194,16 +179,6 @@ def _scw_jump(n: int, k: int) -> int:
     return _term(n, chi[:-1], _power_sums(chi))
 
 
-def _entry(i: int, p: int, v: list[int]) -> int:
-    """Entry i of M^p v, for the M of size len(v): off the walk of v while
-    p < k, and from there on `_jump._term` of the sequence of entry i of
-    M^j v, which obeys the recurrence of chi_k (Cayley-Hamilton), from its
-    first k terms."""
-    k = len(v)
-    heads = [h[i] for h in islice(_walk(v), min(p + 1, k))]
-    return heads[p] if p < k else _term(p, _chi(k)[:-1], heads)
-
-
 def _trinomials(length: int) -> Iterator[int]:
     """Yield T(L, m) = [x^m](1 + x + 1/x)^L for m = L, L-1, ..., 0.
 
@@ -258,18 +233,6 @@ def _trace(k: int, closed: int, power: int, sign: int) -> int:
     Z/2(k+1), whose eigenvalues are 3, -1 and each eigenvalue of M twice;
     the caller passes ``power`` = 3^n and ``sign`` = (-1)^n."""
     return (k + 1) * closed - (power + sign) // 2
-
-
-def scw_pair_exact(i: int, j: int, n: int, k: int) -> int:
-    """Number of smooth cyclic words in [k]^n with first letter ``i`` and
-    last letter ``j``; zero unless |i - j| <= 1."""
-    check_int("alphabet size", k, 1)
-    check_int("first letter", i, 1, k)
-    check_int("last letter", j, 1, k)
-    check_int("word length", n, 2)
-    if abs(i - j) > 1:
-        return 0
-    return _entry(i - 1, n - 1, [int(m == j - 1) for m in range(k)])
 
 
 def necklace_exact(n: int, k: int) -> int:

@@ -54,12 +54,15 @@ Word = tuple[int, ...]
 # shorter than n (about 1.3 calls per necklace).
 # The k factor stays because it sets the lengths `check` compares by brute
 # force, and so its comparison count, which `perfbench/oracle.py`'s
-# `check_comparisons` recomputes from the same bound (ROADMAP.md item 7).
+# `check_comparisons` recomputes from the same bound (ROADMAP.md, "The
+# brute-force guard overstates the cost").
 ENUMERATION_LIMIT = 10**8
 
 
 def _validate_word(word: Sequence[int], k: int) -> Word:
     check_int("alphabet size", k, 1)
+    if not isinstance(word, Iterable):
+        raise ValueError(f"word must be iterable, got {word!r}")
     w = tuple(word)
     for letter in w:
         check_int("letter", letter, 1, k)
@@ -103,8 +106,8 @@ def is_smooth_cyclic(word: Sequence[int], k: int) -> bool:
     >>> is_smooth_cyclic((1, 2, 2), 3)
     True
     """
-    w = tuple(word)
-    return is_smooth(w, k) and (len(w) <= 1 or abs(w[-1] - w[0]) <= 1)
+    w = _validate_word(word, k)
+    return all(abs(a - b) <= 1 for a, b in zip(w, w[1:] + w[:1]))
 
 
 # `bytes.translate` tables taking byte b to b - 1 and to b + 1.

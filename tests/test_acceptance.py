@@ -11,6 +11,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,13 +19,15 @@ from conftest import TABLE1_SCW, TABLE1_SW, TABLE2_SN
 from smoothwords import cli
 from smoothwords.chebyshev import eval_poly, u_poly, u_zeros
 from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
-                                 series_equal, sw_gf)
+                                 series_equal, sw_gf, sw_prefix_gf,
+                                 usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
 from smoothwords.spectral import (cyclic_proportion_limit, exact_count,
                                   residues, scw_trig, sn_trig, spectrum,
                                   sw_asymptotic, sw_trig)
 from smoothwords.transfer import necklace_exact, scw_exact, sw_exact
-from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
+from smoothwords.words import (is_smooth, is_smooth_cyclic, necklace_rows_bf,
+                               scw_rows_bf, sw_rows_bf)
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -93,6 +96,54 @@ def test_closed_form_specializations():
     fib_ok = all(sw_exact(n, 4) == 2 * fib[2 * n + 1] for n in range(1, 16))
     assert report("closed-form specializations k=3,4,5 + doubled-Fibonacci",
                   forms_ok and fib_ok)
+
+
+def test_first_letter_generating_function():
+    # Coefficient n of sw_prefix_gf(i, k) counts the smooth words of length
+    # n that start with i, found here among all of [k]^n.
+    bad = []
+    for k in range(1, 6):
+        series = [series_coeffs(sw_prefix_gf(i, k), 8) for i in range(1, k + 1)]
+        bad += [(i + 1, 0, k) for i, coeffs in enumerate(series) if coeffs[0]]
+        for n in range(1, 9):
+            first = [0] * (k + 1)
+            for word in product(range(1, k + 1), repeat=n):
+                if is_smooth(word, k):
+                    first[word[0]] += 1
+            bad += [(i, n, k) for i in range(1, k + 1)
+                    if series[i - 1][n] != first[i]]
+    assert report("first-letter generating function, n<=8 k<=5", not bad,
+                  f"bad={bad}" if bad else "")
+
+
+def test_tridiagonal_inverse_counts_cyclic_words():
+    # Coefficient n - 1 of entry (i, j) of (I - xM)^-1 counts the smooth
+    # words of length n from i to j.  Those with |i - j| <= 1 are the smooth
+    # cyclic words, so their sum is scw(n, k).
+    bad = []
+    for k in range(1, 5):
+        inverse = {(i, j): series_coeffs(usmani_inverse_entry(i, j, k), 6)
+                   for i in range(1, k + 1) for j in range(1, k + 1)}
+        for n in range(1, 8):
+            ends, closed = dict.fromkeys(inverse, 0), dict.fromkeys(inverse, 0)
+            for word in product(range(1, k + 1), repeat=n):
+                if is_smooth(word, k):
+                    ends[word[0], word[-1]] += 1
+                if is_smooth_cyclic(word, k):
+                    closed[word[0], word[-1]] += 1
+            for (i, j), coeffs in inverse.items():
+                want = coeffs[n - 1]
+                if (ends[i, j], closed[i, j]) != \
+                        (want, want if abs(i - j) <= 1 else 0):
+                    bad.append(("ends", i, j, n, k))
+    for k in range(1, 8):
+        near = [series_coeffs(usmani_inverse_entry(i, j, k), 11)
+                for i in range(1, k + 1) for j in range(1, k + 1)
+                if abs(i - j) <= 1]
+        bad += [("scw", n, k) for n in range(1, 13)
+                if sum(c[n - 1] for c in near) != scw_exact(n, k)]
+    assert report("tridiagonal inverse: word ends n<=7 k<=4, scw n<=12 k<=7",
+                  not bad, f"bad={bad}" if bad else "")
 
 
 def test_spectral_window():

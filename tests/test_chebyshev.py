@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from smoothwords.chebyshev import (Poly, eval_poly, t_poly, theta_parts,
-                                   theta_poly, u_poly, u_zeros)
+from smoothwords.chebyshev import (Poly, eval_poly, theta_parts, theta_poly,
+                                   u_poly, u_zeros)
 
 
 def u_at(r, x):
@@ -78,17 +78,15 @@ class TestConstruction:
         for r in range(2, 40):
             assert u_poly(r) == Poly(0, 2) * u_poly(r - 1) - u_poly(r - 2)
 
-    def test_t_small(self):
-        assert t_poly(0) == Poly(1)
-        assert t_poly(1) == Poly(0, 1)
-        assert t_poly(2) == Poly(-1, 0, 2)
-
     def test_t_cosine_property(self):
+        # The first kind, 2 T_r = U_r - U_{r-2}, has T_r(cos t) = cos(r t);
+        # at r = 0 and 1 it reads U_{-2} = -1 and U_{-1} = 0.
         random.seed(20)
         for r in range(16):
+            twice_t = u_poly(r) - u_poly(r - 2)
             for _ in range(20):
                 th = random.uniform(0.1, math.pi - 0.1)
-                assert eval_poly(t_poly(r), math.cos(th)) == pytest.approx(
+                assert eval_poly(twice_t, math.cos(th)) / 2 == pytest.approx(
                     math.cos(r * th), abs=1e-9)
 
     def test_theta_small(self):

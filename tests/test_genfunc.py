@@ -1,5 +1,6 @@
 """Rational generating functions: closed forms, series extraction, identities."""
 import ast
+import collections
 import math
 import operator
 import pathlib
@@ -15,8 +16,7 @@ from smoothwords.genfunc import (RationalSeries, poly_str, scw_gf,
                                  series_coeffs, series_equal, sn_gf_count,
                                  sw_gf, sw_gf_count, sw_prefix_gf,
                                  usmani_inverse_entry)
-from smoothwords.transfer import (necklace_row, scw_exact, sw_exact,
-                                  sw_prefix_exact)
+from smoothwords.transfer import necklace_row, scw_exact, sw_exact
 
 
 def rs(num_coeffs, den_coeffs):
@@ -396,6 +396,15 @@ class TestSeriesEqual:
     def test_detects_differences(self):
         assert not series_equal(rs([1], [1, -3]), rs([1], [1, -2]))
 
+    def test_rejects_what_is_no_series(self):
+        # An int or a Poly on either side is a TypeError, not an
+        # AttributeError from inside the cross-multiplication.
+        for a, b in ((sw_gf(3), 1), (1, sw_gf(3)), (sw_gf(3), Poly(1, 1)),
+                     (None, None)):
+            with pytest.raises(TypeError,
+                               match="^series_equal takes RationalSeries"):
+                series_equal(a, b)
+
 
 class TestClosedForms:
     def test_sw_specializations(self):
@@ -441,12 +450,21 @@ class TestPrefixForms:
         assert series_coeffs(sw_prefix_gf(2, 3), 2)[2] == 3  # 21, 22, 23
 
     def test_matches_exact_prefix_counts(self):
+        # The reference is brute force: every smooth word of length n, made
+        # by extending each one of length n - 1 by a letter, by first letter.
         for k in range(1, 7):
-            for i in range(1, k + 1):
-                coeffs = series_coeffs(sw_prefix_gf(i, k), 12)
-                assert coeffs[0] == 0
-                for n in range(1, 13):
-                    assert coeffs[n] == sw_prefix_exact(i, n, k)
+            coeffs = [series_coeffs(sw_prefix_gf(i, k), 10)
+                      for i in range(1, k + 1)]
+            assert [c[0] for c in coeffs] == [0] * k
+            words = [(i,) for i in range(1, k + 1)]
+            for n in range(1, 11):
+                if n > 1:
+                    words = [w + (c,) for w in words
+                             for c in range(max(1, w[-1] - 1),
+                                            min(k, w[-1] + 1) + 1)]
+                counts = collections.Counter(w[0] for w in words)
+                assert [c[n] for c in coeffs] == \
+                    [counts[i] for i in range(1, k + 1)]
 
     def test_first_step_recurrence(self):
         # f_i = x + x (f_{i-1} + f_i + f_{i+1}), out-of-range terms zero

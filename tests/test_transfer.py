@@ -1,7 +1,7 @@
 """Exact transfer-matrix counting against the brute-force oracle."""
 import time
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,12 +10,11 @@ from smoothwords import divisors, totient, transfer
 from smoothwords._rotations import necklaces, necklaces_row, totients
 from smoothwords.chebyshev import eval_poly, u_poly
 from smoothwords.transfer import (necklace_exact, necklace_row, scw_exact,
-                                  scw_pair_exact, scw_row, sw_exact,
-                                  sw_prefix_exact, sw_row)
-from smoothwords.words import (is_smooth_cyclic, necklace_rows_bf,
-                               scw_rows_bf, sw_rows_bf)
-from smoothwords.genfunc import (RationalSeries, scw_gf, series_coeffs,
-                                 series_equal, sw_gf, usmani_inverse_entry)
+                                  scw_row, sw_exact, sw_row)
+from smoothwords.words import necklace_rows_bf, scw_rows_bf, sw_rows_bf
+from smoothwords.genfunc import (RationalSeries, scw_gf, series_coefficient,
+                                 series_coeffs, series_equal, sw_gf,
+                                 sw_prefix_gf, usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
 
 
@@ -60,9 +59,10 @@ class TestMatrix:
 
     def test_power_apply_examples(self):
         # Entry i of M^n 1 counts the smooth words of length n + 1 that
-        # start with letter i: 1 1 1, then 2 3 2 and 5 7 5 at k = 3.
-        assert [[sw_prefix_exact(i, n + 1, 3) for i in (1, 2, 3)]
-                for n in (0, 1, 2)] == [[1, 1, 1], [2, 3, 2], [5, 7, 5]]
+        # start with letter i: 1 1 1, then 2 3 2 and 5 7 5 at k = 3, from
+        # the walk between two walls that no row takes.
+        assert list(islice(transfer._walk([1, 1, 1]), 3)) == \
+            [[1, 1, 1], [2, 3, 2], [5, 7, 5]]
 
 
 class TestExactCounts:
@@ -80,31 +80,35 @@ class TestExactCounts:
         assert scw_exact(0, 6) == 1
 
     def test_prefix_examples(self):
-        assert sw_prefix_exact(1, 1, 4) == 1
-        assert sw_prefix_exact(2, 2, 3) == 3  # 21, 22, 23
-        assert sum(sw_prefix_exact(i, 5, 5) for i in range(1, 6)) == 259
-        assert sum(sw_prefix_exact(i, 60, 7) for i in range(1, 8)) == \
-            sw_exact(60, 7)
-
-    def test_prefix_complement_symmetry(self):
-        for k in range(1, 8):
-            for n in range(1, 10):
-                for i in range(1, k + 1):
-                    assert sw_prefix_exact(i, n, k) == \
-                        sw_prefix_exact(k + 1 - i, n, k)
+        # Coefficient n of the first-letter series counts the smooth words
+        # of length n that start with i; over every i they sum to sw(n).
+        def first_letters(n, k):
+            return [series_coefficient(sw_prefix_gf(i, k), n)
+                    for i in range(1, k + 1)]
+        assert first_letters(1, 4) == [1, 1, 1, 1]
+        assert first_letters(2, 3) == [2, 3, 2]  # 21, 22, 23
+        assert sum(first_letters(5, 5)) == 259
+        assert sum(first_letters(60, 7)) == sw_exact(60, 7)
 
     def test_pair_examples(self):
-        for n in range(2, 8):
-            assert scw_pair_exact(1, 3, n, 3) == 0
-        assert scw_pair_exact(1, 2, 2, 3) == 1
-        assert sum(scw_pair_exact(i, j, 4, 4)
-                   for i in range(1, 5) for j in range(1, 5)) == 54
+        # Coefficient n - 1 of entry (i, j) of (I - xM)^-1 counts the smooth
+        # words of length n from i to j: 123, then 1123, 1223 and 1233.
+        assert series_coeffs(usmani_inverse_entry(1, 3, 3), 4) == \
+            [0, 0, 1, 3, 8]
+        assert series_coefficient(usmani_inverse_entry(1, 2, 3), 1) == 1
+        assert sum(series_coefficient(usmani_inverse_entry(i, j, 4), 3)
+                   for i in range(1, 5) for j in range(1, 5)
+                   if abs(i - j) <= 1) == 54
 
     def test_pair_sums_to_cyclic_count(self):
+        # The words from i to j with |i - j| <= 1 are the cyclic words, here
+        # to n = 60, where scw_exact jumps.
         for k in range(1, 6):
-            for n in (*range(2, 9), 60):
-                total = sum(scw_pair_exact(i, j, n, k)
-                            for i in range(1, k + 1) for j in range(1, k + 1))
+            for n in (*range(1, 9), 60):
+                total = sum(
+                    series_coefficient(usmani_inverse_entry(i, j, k), n - 1)
+                    for i in range(1, k + 1) for j in range(1, k + 1)
+                    if abs(i - j) <= 1)
                 assert total == scw_exact(n, k)
 
     def test_necklace_examples(self):
@@ -116,12 +120,6 @@ class TestExactCounts:
     def test_validation(self):
         with pytest.raises(ValueError):
             sw_exact(-1, 3)
-        with pytest.raises(ValueError):
-            sw_prefix_exact(0, 3, 3)
-        with pytest.raises(ValueError):
-            sw_prefix_exact(4, 3, 3)
-        with pytest.raises(ValueError):
-            scw_pair_exact(1, 1, 1, 3)
         with pytest.raises(ValueError):
             scw_exact(3, 0)
 
@@ -142,27 +140,6 @@ class TestOracleAgreement:
                              (scw_rows_bf, TABLE1_SCW),
                              (necklace_rows_bf, TABLE2_SN)):
             assert brute(table, 11) == list(table.values())
-
-    def test_prefix_recurrence(self):
-        # count(i, n) = [n == 1] + sum of count(j, n-1) over neighbors j
-        for k in range(1, 8):
-            for n in range(2, 13):
-                for i in range(1, k + 1):
-                    neighbors = [j for j in (i - 1, i, i + 1) if 1 <= j <= k]
-                    assert sw_prefix_exact(i, n, k) == \
-                        sum(sw_prefix_exact(j, n - 1, k) for j in neighbors)
-
-    def test_pair_recurrence(self):
-        # The reference is brute force, grouped by first and last letter,
-        # so it shares no code with the walk or the jump.
-        for k in range(1, 5):
-            for n in range(2, 8):
-                pairs = dict.fromkeys(product(range(1, k + 1), repeat=2), 0)
-                for word in product(range(1, k + 1), repeat=n):
-                    if is_smooth_cyclic(word, k):
-                        pairs[word[0], word[-1]] += 1
-                assert {(i, j): scw_pair_exact(i, j, n, k)
-                        for i, j in pairs} == pairs
 
 
 class TestRows:
