@@ -7,7 +7,6 @@ generating functions (`genfunc`), and trigonometric closed forms with
 validated rounding (`spectral`).
 """
 
-from ._rotations import divisors, totient
 from .chebyshev import (Poly, eval_poly, theta_parts, theta_poly, u_poly,
                         u_zeros)
 from .genfunc import (RationalSeries, scw_gf, scw_gf_count,
@@ -32,7 +31,7 @@ __all__ = [
     "is_smooth", "is_smooth_cyclic",
     "admits", "sw_rows_bf", "scw_rows_bf", "necklace_rows_bf",
     "sw_exact", "scw_exact", "necklace_exact", "sw_row", "scw_row",
-    "necklace_row", "totient", "divisors", "usmani_inverse_entry",
+    "necklace_row", "usmani_inverse_entry",
     "sw_gf", "scw_gf", "sw_gf_count", "scw_gf_count", "sn_gf_count",
     "sw_prefix_gf",
     "series_coeffs", "series_coefficient",

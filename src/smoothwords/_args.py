@@ -11,7 +11,7 @@ from __future__ import annotations
 def check_int(name: str, value: object, low: int, high: int | None = None) -> None:
     """Raise `ValueError` unless ``value`` is an int (not a bool) with
     ``low <= value`` and, when ``high`` is given, ``value <= high``."""
-    # type() first: plain ints skip both isinstance calls (hot in totient).
+    # type() first: plain ints skip both isinstance calls.
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, int)):
         raise ValueError(f"{name} must be an integer, got {value!r}")

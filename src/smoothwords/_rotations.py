@@ -7,9 +7,10 @@ made of d copies of a word of length n/d, and phi(d) rotations have
 order d, so with ``cyclic(m)`` the cyclic words of length m there are
 (1/n) sum_{d|n} phi(d) cyclic(n/d) necklaces.
 
-This is the one home of that average, for one length (`necklaces`) or
-for a whole row n = 0..n_max at once (`necklaces_row`: one totient sieve,
-`totients`, then each phi(d) cyclic(q) added into entry n = d q).  It
+This is the one home of that average, for one length (`necklaces`: every
+divisor and its phi from one factorisation of n) or for a whole row
+n = 0..n_max at once (`necklaces_row`: one totient sieve, `totients`,
+then each phi(d) cyclic(q) added into entry n = d q).  It
 imports no engine: the exact, generating-function and spectral pipelines
 each pass in their own cyclic counts, so they stay independent
 cross-checks of one another.
@@ -20,37 +21,6 @@ from collections.abc import Callable
 from itertools import islice
 
 from ._args import check_int
-
-
-def divisors(m: int) -> list[int]:
-    """Sorted positive divisors of ``m``."""
-    check_int("divisors argument", m, 1)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def totient(m: int) -> int:
-    """Euler's totient of ``m``, by trial-division factorization."""
-    check_int("totient argument", m, 1)
-    result = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
 
 
 def totients(m_max: int) -> list[int]:
@@ -65,7 +35,27 @@ def totients(m_max: int) -> list[int]:
 def rotation_sum(n: int, cyclic: Callable[[int], float]) -> float:
     """sum_{d|n} phi(d) cyclic(n/d) for n >= 1: n times the rotation
     average, exact for int counts and a float sum for float ones."""
-    return sum(totient(d) * cyclic(n // d) for d in divisors(n))
+    return sum(f * cyclic(n // d) for d, f in _divisor_totients(n))
+
+
+def _divisor_totients(n: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d of n >= 1, ascending in d, from one
+    trial division: each prime power p^e of n extends every pair (d, f)
+    so far to (d p^i, f p^(i-1) (p-1)) for i = 1..e."""
+    check_int("word length", n, 1)
+    pairs, rest, p = [(1, 1)], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # no prime below p divides rest, so rest is prime
+        if rest % p == 0:
+            grown, step = pairs, p - 1
+            while rest % p == 0:
+                rest //= p
+                grown = [(d * p, f * step) for d, f in grown]
+                pairs += grown
+                step = p
+        p += 1
+    return sorted(pairs)
 
 
 def necklaces(n: int, cyclic: Callable[[int], int]) -> int:

@@ -31,9 +31,10 @@ from ._args import check_int
 class Poly:
     """Dense integer-coefficient polynomial.
 
-    Trailing zero coefficients are trimmed; the zero polynomial is the
-    empty tuple.  ``+`` and ``-`` take only another `Poly`; ``*`` takes a
-    `Poly` or an ``int`` (not a ``bool``) on either side.
+    Coefficients are ints (not bools), else `ValueError`.  Trailing zero
+    coefficients are trimmed; the zero polynomial is the empty tuple.
+    ``+`` and ``-`` take only another `Poly`; ``*`` takes a `Poly` or an
+    ``int`` (not a ``bool``) on either side.
 
     >>> Poly(-1, 0, 4).degree
     2
@@ -46,6 +47,9 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
+        for c in coeffs:
+            if type(c) is not int:  # low = c: only the type rule can fail
+                check_int("polynomial coefficient", c, c)
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

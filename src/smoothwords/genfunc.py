@@ -248,8 +248,8 @@ def sn_gf_count(n: int, k: int) -> int:
     >>> sn_gf_count(7, 4), sn_gf_count(0, 10**18)
     (128, 1)
     """
-    # Both checks come first, as in `sw_gf_count`: the average would call
-    # a bad length the divisors argument, and never check k at n = 0.
+    # Both checks come first, as in `sw_gf_count`: the average would refuse
+    # a bad length with its own bound n >= 1, and never check k at n = 0.
     check_int("word length", n, 0, sys.maxsize)
     check_int("alphabet size", k, 1)
     return necklaces(n, lambda m: scw_gf_count(m, k))

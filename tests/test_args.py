@@ -28,8 +28,6 @@ TABLE = {
     "sw_row": (sw.sw_row, (3, 4), {0: (0, -2), 1: (-1,)}),
     "scw_row": (sw.scw_row, (3, 4), {0: (0, -2), 1: (-1,)}),
     "necklace_row": (sw.necklace_row, (3, 4), {0: (0, -2), 1: (-1,)}),
-    "divisors": (sw.divisors, (6,), {0: (0, -6)}),
-    "totient": (sw.totient, (6,), {0: (0, -6)}),
     # A bad alphabet size among good ones, then a bad length with none.
     "sw_rows_bf": (lambda k, n_max: sw.sw_rows_bf((1, k), n_max), (3, 4),
                    {0: (0, -2), 1: (-1,)}),

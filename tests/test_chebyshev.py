@@ -13,6 +13,7 @@ import pytest
 
 from smoothwords.chebyshev import (Poly, eval_poly, theta_parts, theta_poly,
                                    u_poly, u_zeros)
+from smoothwords.genfunc import RationalSeries, series_coefficient
 
 
 def u_at(r, x):
@@ -42,6 +43,18 @@ class TestPoly:
         assert 3 * a == Poly(3, 6)
         assert a.shift(2) == Poly(0, 0, 1, 2)
         assert a * Poly() == Poly()
+
+    def test_coefficients_follow_the_integer_rule(self):
+        # A float or bool coefficient is a ValueError when the Poly is made,
+        # not a float series or a TypeError from deep inside the jump.
+        for bad in (lambda: Poly(0.5, 2), lambda: Poly(1, 2.0),
+                    lambda: Poly(True, 1), lambda: Poly(1, "4"),
+                    lambda: RationalSeries(Poly(1, 0.5), Poly(1, -1)),
+                    lambda: series_coefficient(
+                        RationalSeries(Poly(1), Poly(1, -3.0)), 50)):
+            with pytest.raises(ValueError, match="coefficient must be an "
+                               "integer"):
+                bad()
 
     def test_sums_take_only_polys(self):
         # An int is no polynomial to add: write Poly(c) for a constant.

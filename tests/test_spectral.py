@@ -58,6 +58,17 @@ class TestTrigForms:
             assert sn_trig(1, k) == pytest.approx(k, abs=1e-9)
         assert sn_trig(9, 6) == pytest.approx(1360, rel=1e-6)
 
+    def test_sn_adds_in_ascending_divisor_order(self):
+        # The float terms phi(d) scw_trig(n/d) are added in ascending d, so
+        # sn_trig's every bit is fixed, not only its rounding.
+        for n in range(1, 61):
+            ds = [d for d in range(1, n + 1) if n % d == 0]
+            phi = [sum(math.gcd(a, d) == 1 for a in range(1, d + 1))
+                   for d in ds]
+            for k in range(1, 13):
+                total = sum(f * scw_trig(n // d, k) for d, f in zip(ds, phi))
+                assert sn_trig(n, k) == total / n
+
     def test_all_index_form_matches_odd_index_form(self):
         for k in range(1, 13):
             for n in range(1, 21):

@@ -2,12 +2,14 @@
 import time
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smoothwords import divisors, totient, transfer
-from smoothwords._rotations import necklaces, necklaces_row, totients
+from smoothwords import transfer
+from smoothwords._rotations import (_divisor_totients, necklaces,
+                                    necklaces_row, totients)
 from smoothwords.chebyshev import eval_poly, u_poly
 from smoothwords.transfer import (necklace_exact, necklace_row, scw_exact,
                                   scw_row, sw_exact, sw_row)
@@ -16,6 +18,15 @@ from smoothwords.genfunc import (RationalSeries, scw_gf, series_coefficient,
                                  series_coeffs, series_equal, sw_gf,
                                  sw_prefix_gf, usmani_inverse_entry)
 from smoothwords.chebyshev import Poly
+
+
+# References for the rotation average that share no code with the library.
+def divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def totient(m):
+    return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
 
 
 class TestCharacteristicPolynomial:
@@ -276,22 +287,37 @@ class TestEngines:
 
 class TestNumberTheory:
     def test_totient_examples(self):
-        assert totient(1) == 1
-        assert totient(12) == 4
-        assert [totient(m) for m in range(1, 11)] == \
+        # The phi that one factorisation of n gives each divisor.
+        assert _divisor_totients(1) == [(1, 1)]
+        assert _divisor_totients(12) == [(1, 1), (2, 1), (3, 2), (4, 2),
+                                         (6, 2), (12, 4)]
+        assert [_divisor_totients(m)[-1][1] for m in range(1, 11)] == \
             [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
     def test_totient_matches_gcd_count(self):
-        from math import gcd
-        for m in range(1, 200):
-            assert totient(m) == sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+        phi = [0] + [totient(m) for m in range(1, 2001)]
+        for n in range(1, 2001):
+            assert [f for _, f in _divisor_totients(n)] == \
+                [phi[d] for d in divisors(n)]
+        for n in (720720, 963761198400):
+            assert sum(f for _, f in _divisor_totients(n)) == n
 
     def test_divisors(self):
-        assert divisors(6) == [1, 2, 3, 6]
-        assert divisors(1) == [1]
-        assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-        for m in range(1, 120):
-            assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+        # Ascending order fixes how sn_trig adds its float terms.
+        assert [d for d, _ in _divisor_totients(36)] == \
+            [1, 2, 3, 4, 6, 9, 12, 18, 36]
+        for n in range(1, 2001):
+            assert [d for d, _ in _divisor_totients(n)] == divisors(n)
+        for n, count in ((720720, 240), (963761198400, 6720)):
+            ds = [d for d, _ in _divisor_totients(n)]
+            assert len(ds) == count
+            assert all(a < b for a, b in zip(ds, ds[1:]))
+            assert all(n % d == 0 for d in ds)
+
+    def test_divisor_totients(self):
+        for bad in (0, -6, 2.0, True, "4"):
+            with pytest.raises(ValueError):
+                _divisor_totients(bad)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
     def test_necklace_row_matches_single_averages(self, k):
