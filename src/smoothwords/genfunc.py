@@ -52,15 +52,17 @@ is tr M^n = sum_j (1 + u_j)^n over the zeros u_j = 2 cos(j pi/(k+1)) of
 U_k(u/2), which come in +- pairs (with a lone zero 0 at odd k), so the odd
 powers cancel in the binomial expansion:
 
-  ``scw(n) = k + 2 sum_{i=1}^{n//2} C(n, 2i) p_i``,
+  ``scw(n) = k + 2 (sum_{l=0}^{n//2} G_l q_l - m)``,
 
-where p_i is the i-th power sum of the roots v = u^2 of V, U_k(u/2) =
-u^(k mod 2) V(u^2).  With R(z) = sum_i (-1)^i C(k-i, i) z^i the reversal
-of V, the p_i are the coefficients of -z R'(z) / R(z), read by the same
-lazy division.  Coefficient i of that series needs R only to degree i, so
-R is built to degree min(k//2, n//2) alone: about (n/2) min(k/2, n/2)
-big-by-small products and n/2 binomial terms, against n k products for
-the series of `scw_gf`.  That cost grows like n k, and the jump's like
+where q_l is the l-th power sum of the m = k//2 centred squares
+w = u^2 - 2 in (-2, 2), one per pair, and G_l = [w^l] sum_i C(n, 2i)
+(w + 2)^i (`_weights`).  The w are the zeros of U_m(w/2) + U_{m-1}(w/2)
+at even k and of U_m(w/2) at odd k, so R(z) = prod (1 - w z) holds
+`_reversed_v` at m in its even places and, at even k, at m - 1 in its odd
+ones.  The q_l, of about l bits, are the coefficients of (m R - z R') / R,
+read by the same lazy division with R to degree min(k//2, n//2): about
+(n/2) min(k/2, n/2) big-by-small products, against n k products for the
+series of `scw_gf`.  That cost grows like n k, and the jump's like
 k^2 log n, so from n = ``_POWER_SUMS_OVER_K * k`` on the count reads
 `scw_gf` by `series_coefficient` instead.
 
@@ -86,25 +88,20 @@ _ONE_MINUS_3X = Poly(1, -3)
 _ONE_PLUS_X = Poly(1, 1)
 
 # `scw_gf_count` sums power sums below n = _POWER_SUMS_OVER_K * k and reads
-# `scw_gf` by `series_coefficient` from there on.  Fitted from timings
-# (ms, best of 9 at k <= 20, of 7 at k = 40 and 80, of 3 at k = 120, one
-# run at k = 300; caches cleared before each; Python 3.11, 2 cores) of the
-# power sums against `series_coefficient(scw_gf(k), n)`, which jumps at
-# every n/k timed here:
+# `scw_gf` by `series_coefficient` from there on.  Timings (ms, power sums /
+# jump, best of 21 at k = 20, 9 at k = 40 and 80, 5 at k = 120, one run at
+# k = 300; caches cleared; Python 3.11, 2 cores):
 #
-#   n/k       30          35          40          45          50          60
-#   k=10   0.2 / 0.3   0.2 / 0.3   0.3 / 0.3   0.3 / 0.3   0.4 / 0.4   0.5 / 0.4
-#   k=20   0.7 / 0.8   0.8 / 0.9   1.0 / 0.9   1.2 / 1.0   1.4 / 1.1   3.0 / 1.7
-#   k=40   4.6 / 5.6   5.7 / 6.1   7.5 / 6.7   9.2 / 7.5  11.0 / 8.3  15.9 / 9.4
-#   k=80    14 / 20     20 / 22     28 / 25     32 / 28     41 / 37     64 / 43
-#   k=120   77 / 109   111 / 122   140 / 147   167 / 159   229 / 184   328 / 225
-#   k=300  916 / 1158 1887 / 2500 1633 / 2680 2779 / 2770 4204 / 3276 4212 / 3797
+#   n/k      40           50           60
+#   k=20   0.92 / 0.72  1.25 / 0.78  1.64 / 0.84
+#   k=40   3.28 / 3.11  4.69 / 3.71  6.37 / 4.20
+#   k=80   14.4 / 19.0  22.0 / 24.2  32.0 / 29.1
+#   k=120  42.0 / 68.6  65.6 / 84.1   103 / 102
+#   k=300   590 / 1380   955 / 1870  1390 / 2240
 #
-# The crossover lies near n/k = 40 at k = 20-80, 42 at k = 120 and 45 at
-# k = 300 (k = 10 is level from 40 to 50).  The constant takes 45: from 40
-# to 45 the power sums lose by at most 10-20% at k <= 120, and win by
-# 1.6x at k = 300.
-_POWER_SUMS_OVER_K = 45
+# The crossover lies near n/k = 30 at k = 20, 38 at k = 40, 53 at k = 80,
+# 60 at k = 120 and past 80 at k = 300; 50 splits it.
+_POWER_SUMS_OVER_K = 50
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,8 +214,8 @@ def scw_gf_count(n: int, k: int) -> int:
     """Coefficient n of `scw_gf(k)`: the smooth cyclic words in [k]^n.
 
     Below n = ``_POWER_SUMS_OVER_K * k`` it sums the power sums of the
-    squared zeros of U_k (see the module docstring) and builds nothing of
-    size k when n is small; from there on it reads `scw_gf` by
+    centred squared zeros of U_k (see the module docstring), building
+    nothing of size k when n is small; from there on it reads `scw_gf` by
     `series_coefficient`.
 
     >>> scw_gf_count(11, 3), scw_gf_count(0, 10**18)
@@ -228,17 +225,16 @@ def scw_gf_count(n: int, k: int) -> int:
     check_int("alphabet size", k, 1)
     if n >= _POWER_SUMS_OVER_K * k:
         return series_coefficient(scw_gf(k), n)
-    if not n:
-        return 1
-    r = _reversed_v(k, min(k, n) // 2)
-    # -z R'(z) / R(z) = p_1 z + p_2 z^2 + ...; its constant term is 0.
-    sums = _series(Poly(*(-i * c for i, c in enumerate(r))), [Poly(*r)])
-    next(sums)
-    total, binom = 0, 1  # binom = C(n, j)
-    for j, p in zip(range(2, n + 1, 2), sums):
-        binom = binom * (n - j + 2) * (n - j + 1) // ((j - 1) * j)
-        total += binom * p
-    return k + 2 * total
+    if n < 2:  # the empty word, or the k words of one letter
+        return k ** n
+    m, d = k // 2, min(k, n) // 2
+    r = [0] * (d + 1)  # R to degree d
+    r[::2] = _reversed_v(m, d // 2)
+    if k % 2 == 0:
+        r[1::2] = _reversed_v(m - 1, (d - 1) // 2)
+    # (m R - z R') / R = q_0 + q_1 z + ..., q_0 = m
+    sums = _series(Poly(*((m - i) * c for i, c in enumerate(r))), [Poly(*r)])
+    return k + 2 * (sum(map(operator.mul, _weights(n), sums)) - m)
 
 
 def sn_gf_count(n: int, k: int) -> int:
@@ -257,16 +253,27 @@ def sn_gf_count(n: int, k: int) -> int:
 
 def _reversed_v(k: int, degree: int) -> list[int]:
     """Coefficients 0..degree (degree <= k // 2) of R(z) = sum_i (-1)^i
-    C(k-i, i) z^i, the reversal of V, where U_k(u/2) = u^(k mod 2) V(u^2).
+    C(k-i, i) z^i, the reversal of V, where U_k(u/2) = u^(k mod 2) V(u^2)."""
+    return [(-1) ** i * math.comb(k - i, i) for i in range(degree + 1)]
 
-    R(z) = prod_v (1 - v z) over the roots v of V, the squared zeros of
-    U_k(u/2) taken once per +- pair.  Each coefficient follows from the one
-    before: C(k-i-1, i+1) = C(k-i, i) (k-2i) (k-2i-1) / ((i+1) (k-i)).
-    """
-    r = [1]
-    for i in range(degree):
-        r.append(-r[-1] * (k - 2 * i) * (k - 2 * i - 1) // ((i + 1) * (k - i)))
-    return r
+
+def _weights(n: int):
+    """The G_l of `scw_gf_count`: G_0 = 3 P_(n-1) + P_(n-2) and G_1 =
+    n P_(n-1) / 2 from the Pell numbers P, then the recurrence of
+    4v(1-v)F'' + (2 + (4n-6)v)F' = n(n-1)F, F(v) = sum_i C(n, 2i) v^i."""
+    a, b = 0, 1  # P_0, P_-1, then P_(n-1), P_(n-2)
+    for _ in range(n - 1):
+        a, b = 2 * a + b, a
+    g, after = 3 * a + b, n * a // 2
+    for l in range(n // 2 + 1):
+        yield g
+        later, rest = divmod((l + 1) * (8 * n - 10 - 12 * l) * after
+                             - (n - 2 * l) * (n - 2 * l - 1) * g,
+                             8 * (l + 1) * (l + 2))
+        if rest:
+            raise AssertionError(
+                f"weight recurrence inexact at n={n}, l={l}; counting bug")
+        g, after = after, later
 
 
 def usmani_inverse_entry(i: int, j: int, k: int) -> RationalSeries:
@@ -310,10 +317,8 @@ def series_coefficient(rs: RationalSeries, n: int) -> int:
 
     Below T = max(deg num + 1, d), with d the degree of the denominator
     factors the numerator does not cancel, it reads the lazy series and
-    holds none of the coefficients before n.  From T on it reads only
-    those T coefficients and jumps to n by Fiduccia's method, as term
-    n - T + d of the sequence that starts at coefficient T - d, from its
-    first d terms by `_jump._term` (see the module docstring).
+    holds none of the coefficients before n; from T on it jumps by
+    Fiduccia's method (see the module docstring).
 
     >>> series_coefficient(RationalSeries(Poly(1), Poly(1, -3)), 100) == 3**100
     True

@@ -204,14 +204,14 @@ class TestGfCounts:
     @example(1, 0, None)
     @example(1, 7, None)
     @example(2, 9, None)
-    @example(7, 314, None)  # odd k, the last n below 45 k
-    @example(7, 315, None)  # the first n from which scw_gf is read
+    @example(7, 349, None)  # odd k, the last n below 50 k
+    @example(7, 350, None)  # the first n from which scw_gf is read
     @example(8, 399, None)  # even k
     @example(301, 400, None)  # odd k: a zero u = 0 and k // 2 pairs
     @example(300, 400, 0)
     def test_scw_matches_series(self, k, n, ratio):
         # ratio 0 reads scw_gf at every n; None keeps the fitted constant,
-        # which sums power sums for every n < 45 k.
+        # which sums power sums for every n < 50 k.
         if ratio is None:
             ratio = genfunc._POWER_SUMS_OVER_K
         with mock.patch.object(genfunc, "_POWER_SUMS_OVER_K", ratio):
@@ -249,8 +249,8 @@ class TestGfCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 120))
     @example(1, 0)  # the empty necklace
-    @example(2, 120)  # divisor 120 >= 45 k reads scw_gf's series
-    @example(40, 120)  # every divisor below 45 k: power sums alone
+    @example(2, 120)  # divisor 120 >= 50 k reads scw_gf's series
+    @example(40, 120)  # every divisor below 50 k: power sums alone
     @example(3, 113)  # a prime length: the identity and n rotations
     def test_sn_is_the_rotation_average_of_scw(self, k, n):
         assert sn_gf_count(n, k) == necklace_row(k, n)[n]
@@ -266,6 +266,39 @@ class TestGfCounts:
         assert all(a[j] == 0 for j in range(k % 2 == 0, k, 2))
         for degree in range(k // 2 + 1):
             assert genfunc._reversed_v(k, degree) == want[:degree + 1]
+
+    @pytest.mark.parametrize("k", range(80))
+    def test_interleaved_reversed_v_is_the_shifted_v(self, k):
+        # scw_gf_count takes prod (1 - w z) over the centred squares
+        # w = v - 2 with even coefficients from _reversed_v at k // 2 and
+        # odd ones from k // 2 - 1 (zero at odd k).  Independently: V(v),
+        # U_k(u/2) = u^(k mod 2) V(u^2), is read from U_k; the w are the
+        # zeros of V(w + 2), monic, and the product is its reversal.
+        a, odd = chebyshev.u_poly(k).coeffs, k % 2
+        v = [a[odd + 2 * j] // 2 ** (odd + 2 * j) for j in range(k // 2 + 1)]
+        shifted = [sum(v[j] * math.comb(j, i) * 2 ** (j - i)
+                       for j in range(i, len(v))) for i in range(len(v))]
+        for degree in range(k // 2 + 1):
+            r = [0] * (degree + 1)
+            r[::2] = genfunc._reversed_v(k // 2, degree // 2)
+            if not odd and degree:
+                r[1::2] = genfunc._reversed_v(k // 2 - 1, (degree - 1) // 2)
+            assert r == shifted[::-1][:degree + 1]
+
+    @pytest.mark.parametrize("n", range(81))
+    def test_weights_are_the_shifted_binomials(self, n):
+        # G_l = [w^l] sum_i C(n, 2i) (w + 2)^i.
+        assert list(genfunc._weights(n)) == [
+            sum(math.comb(n, 2 * i) * math.comb(i, l) * 2 ** (i - l)
+                for i in range(l, n // 2 + 1))
+            for l in range(n // 2 + 1)]
+
+    @pytest.mark.parametrize("n, k", [(3999, 120), (1525, 300), (4001, 121)])
+    def test_deep_power_sums(self, n, k):
+        # Deep cells below 50 k, at even k and at odd k, where every odd
+        # coefficient of prod (1 - w z) is zero.
+        assert n < genfunc._POWER_SUMS_OVER_K * k
+        assert scw_gf_count(n, k) == scw_exact(n, k)
 
     def test_checks_the_length_before_any_build(self):
         # Building sw_gf(10**18) would never end; a bad n must not wait.
