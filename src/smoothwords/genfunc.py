@@ -57,14 +57,14 @@ powers cancel in the binomial expansion:
 where q_l is the l-th power sum of the m = k//2 centred squares
 w = u^2 - 2 in (-2, 2), one per pair, and G_l = [w^l] sum_i C(n, 2i)
 (w + 2)^i (`_weights`).  The w are the zeros of U_m(w/2) + U_{m-1}(w/2)
-at even k and of U_m(w/2) at odd k, so R(z) = prod (1 - w z) holds
+at even k and of U_m(w/2) at odd k, so R(z) = prod (1 - w z) is
 `_reversed_v` at m in its even places and, at even k, at m - 1 in its odd
 ones.  The q_l, of about l bits, are the coefficients of (m R - z R') / R,
 read by the same lazy division with R to degree min(k//2, n//2): about
-(n/2) min(k/2, n/2) big-by-small products, against n k products for the
-series of `scw_gf`.  That cost grows like n k, and the jump's like
-k^2 log n, so from n = ``_POWER_SUMS_OVER_K * k`` on the count reads
-`scw_gf` by `series_coefficient` instead.
+(n/2) min(k/2, n/2) products, against n k for the series of `scw_gf`.
+That cost grows like n k, and the jump's like k^2 log n, so from
+n = ``_POWER_SUMS_OVER_K * k`` on the count reads `scw_gf` by
+`series_coefficient` instead.
 
 Necklaces have no rational generating function here, so `sn_gf_count`
 takes the rotation average (`_rotations.necklaces`) of `scw_gf_count`
@@ -88,20 +88,11 @@ _ONE_MINUS_3X = Poly(1, -3)
 _ONE_PLUS_X = Poly(1, 1)
 
 # `scw_gf_count` sums power sums below n = _POWER_SUMS_OVER_K * k and reads
-# `scw_gf` by `series_coefficient` from there on.  Timings (ms, power sums /
-# jump, best of 21 at k = 20, 9 at k = 40 and 80, 5 at k = 120, one run at
-# k = 300; caches cleared; Python 3.11, 2 cores):
-#
-#   n/k      40           50           60
-#   k=20   0.92 / 0.72  1.25 / 0.78  1.64 / 0.84
-#   k=40   3.28 / 3.11  4.69 / 3.71  6.37 / 4.20
-#   k=80   14.4 / 19.0  22.0 / 24.2  32.0 / 29.1
-#   k=120  42.0 / 68.6  65.6 / 84.1   103 / 102
-#   k=300   590 / 1380   955 / 1870  1390 / 2240
-#
-# The crossover lies near n/k = 30 at k = 20, 38 at k = 40, 53 at k = 80,
-# 60 at k = 120 and past 80 at k = 300; 50 splits it.
-_POWER_SUMS_OVER_K = 50
+# `scw_gf` by `series_coefficient` from there on.  Timed against the jump
+# (best of 5-21; Python 3.11, 2 cores), the power sums win below about
+# n/k = 30, 38, 53 and 60 at k = 20, 40, 80 and 120, so the best constant
+# depends on k; 45 is kept.
+_POWER_SUMS_OVER_K = 45
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,7 +205,7 @@ def scw_gf_count(n: int, k: int) -> int:
     """Coefficient n of `scw_gf(k)`: the smooth cyclic words in [k]^n.
 
     Below n = ``_POWER_SUMS_OVER_K * k`` it sums the power sums of the
-    centred squared zeros of U_k (see the module docstring), building
+    centred squared zeros of U_k (see the module docstring) and builds
     nothing of size k when n is small; from there on it reads `scw_gf` by
     `series_coefficient`.
 
@@ -228,7 +219,7 @@ def scw_gf_count(n: int, k: int) -> int:
     if n < 2:  # the empty word, or the k words of one letter
         return k ** n
     m, d = k // 2, min(k, n) // 2
-    r = [0] * (d + 1)  # R to degree d
+    r = [0] * (d + 1)
     r[::2] = _reversed_v(m, d // 2)
     if k % 2 == 0:
         r[1::2] = _reversed_v(m - 1, (d - 1) // 2)
@@ -253,18 +244,26 @@ def sn_gf_count(n: int, k: int) -> int:
 
 def _reversed_v(k: int, degree: int) -> list[int]:
     """Coefficients 0..degree (degree <= k // 2) of R(z) = sum_i (-1)^i
-    C(k-i, i) z^i, the reversal of V, where U_k(u/2) = u^(k mod 2) V(u^2)."""
-    return [(-1) ** i * math.comb(k - i, i) for i in range(degree + 1)]
+    C(k-i, i) z^i, the reversal of V, where U_k(u/2) = u^(k mod 2) V(u^2).
+
+    R(z) = prod_v (1 - v z) over the roots v of V, the squared zeros of
+    U_k(u/2) taken once per +- pair.  Each coefficient follows from the one
+    before: C(k-i-1, i+1) = C(k-i, i) (k-2i) (k-2i-1) / ((i+1) (k-i)).
+    """
+    r = [1]
+    for i in range(degree):
+        r.append(-r[-1] * (k - 2 * i) * (k - 2 * i - 1) // ((i + 1) * (k - i)))
+    return r
 
 
 def _weights(n: int):
-    """The G_l of `scw_gf_count`: G_0 = 3 P_(n-1) + P_(n-2) and G_1 =
-    n P_(n-1) / 2 from the Pell numbers P, then the recurrence of
+    """The G_l of `scw_gf_count`: G_0 = P_n + P_(n-1) and G_1 = n P_(n-1) / 2
+    from the Pell numbers P, then the recurrence of
     4v(1-v)F'' + (2 + (4n-6)v)F' = n(n-1)F, F(v) = sum_i C(n, 2i) v^i."""
-    a, b = 0, 1  # P_0, P_-1, then P_(n-1), P_(n-2)
-    for _ in range(n - 1):
+    a, b = 0, 1  # P_0, P_-1, then P_n, P_(n-1)
+    for _ in range(n):
         a, b = 2 * a + b, a
-    g, after = 3 * a + b, n * a // 2
+    g, after = a + b, n * b // 2
     for l in range(n // 2 + 1):
         yield g
         later, rest = divmod((l + 1) * (8 * n - 10 - 12 * l) * after
@@ -317,8 +316,10 @@ def series_coefficient(rs: RationalSeries, n: int) -> int:
 
     Below T = max(deg num + 1, d), with d the degree of the denominator
     factors the numerator does not cancel, it reads the lazy series and
-    holds none of the coefficients before n; from T on it jumps by
-    Fiduccia's method (see the module docstring).
+    holds none of the coefficients before n.  From T on it reads only
+    those T coefficients and jumps to n by Fiduccia's method, as term
+    n - T + d of the sequence that starts at coefficient T - d, from its
+    first d terms by `_jump._term` (see the module docstring).
 
     >>> series_coefficient(RationalSeries(Poly(1), Poly(1, -3)), 100) == 3**100
     True

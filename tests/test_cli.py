@@ -68,7 +68,7 @@ class TestCount:
                 (0, "1\n", "")
 
     def test_gf_scw_count_at_a_huge_alphabet(self, capsys):
-        # The power sums build nothing of size k below n = 50 k; the series
+        # The power sums build nothing of size k below n = 45 k; the series
         # of scw_gf would first build theta_k of degree 10^18.
         argv = ("count", "scw", "--n", "48", "--k", str(10**18))
         start = time.perf_counter()
@@ -91,7 +91,7 @@ class TestCount:
     def test_gf_necklace_count_is_the_rotation_average(self, capsys):
         # Necklaces have no function to print, but their gf count averages
         # scw_gf_count over the divisors of n.  At (240, 3) the divisor 240
-        # >= 50 k reads scw_gf's series; at k = 10^18 every divisor sums
+        # >= 45 k reads scw_gf's series; at k = 10^18 every divisor sums
         # power sums and builds nothing of size k.
         for n, k in ((720, 12), (240, 3), (48, 10**18)):
             argv = ("count", "sn", "--n", str(n), "--k", str(k))

@@ -204,14 +204,14 @@ class TestGfCounts:
     @example(1, 0, None)
     @example(1, 7, None)
     @example(2, 9, None)
-    @example(7, 349, None)  # odd k, the last n below 50 k
-    @example(7, 350, None)  # the first n from which scw_gf is read
+    @example(7, 314, None)  # odd k, the last n below 45 k
+    @example(7, 315, None)  # the first n from which scw_gf is read
     @example(8, 399, None)  # even k
     @example(301, 400, None)  # odd k: a zero u = 0 and k // 2 pairs
     @example(300, 400, 0)
     def test_scw_matches_series(self, k, n, ratio):
         # ratio 0 reads scw_gf at every n; None keeps the fitted constant,
-        # which sums power sums for every n < 50 k.
+        # which sums power sums for every n < 45 k.
         if ratio is None:
             ratio = genfunc._POWER_SUMS_OVER_K
         with mock.patch.object(genfunc, "_POWER_SUMS_OVER_K", ratio):
@@ -249,8 +249,8 @@ class TestGfCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 120))
     @example(1, 0)  # the empty necklace
-    @example(2, 120)  # divisor 120 >= 50 k reads scw_gf's series
-    @example(40, 120)  # every divisor below 50 k: power sums alone
+    @example(2, 120)  # divisor 120 >= 45 k reads scw_gf's series
+    @example(40, 120)  # every divisor below 45 k: power sums alone
     @example(3, 113)  # a prime length: the identity and n rotations
     def test_sn_is_the_rotation_average_of_scw(self, k, n):
         assert sn_gf_count(n, k) == necklace_row(k, n)[n]
@@ -295,7 +295,7 @@ class TestGfCounts:
 
     @pytest.mark.parametrize("n, k", [(3999, 120), (1525, 300), (4001, 121)])
     def test_deep_power_sums(self, n, k):
-        # Deep cells below 50 k, at even k and at odd k, where every odd
+        # Deep cells below 45 k, at even k and at odd k, where every odd
         # coefficient of prod (1 - w z) is zero.
         assert n < genfunc._POWER_SUMS_OVER_K * k
         assert scw_gf_count(n, k) == scw_exact(n, k)
