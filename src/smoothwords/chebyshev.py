@@ -19,7 +19,6 @@ all from a single pass of the recurrence.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -27,14 +26,14 @@ import math
 from ._args import check_int
 
 
-@dataclasses.dataclass(frozen=True)
 class Poly:
     """Dense integer-coefficient polynomial.
 
     Coefficients are ints (not bools), else `ValueError`.  Trailing zero
     coefficients are trimmed; the zero polynomial is the empty tuple.
     ``+`` and ``-`` take only another `Poly`; ``*`` takes a `Poly` or an
-    ``int`` (not a ``bool``) on either side.
+    ``int`` (not a ``bool``) on either side.  A `Poly` is immutable, and
+    equal polynomials compare and hash equal.
 
     >>> Poly(-1, 0, 4).degree
     2
@@ -44,6 +43,7 @@ class Poly:
     Poly(1, 0, -1)
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
@@ -54,6 +54,23 @@ class Poly:
         while end and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
+        return Poly, self.coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:

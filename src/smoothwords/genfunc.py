@@ -73,7 +73,6 @@ over the divisors of n; no function of its own is built or printed.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import math
 import operator
@@ -95,7 +94,6 @@ _ONE_PLUS_X = Poly(1, 1)
 _POWER_SUMS_OVER_K = 45
 
 
-@dataclasses.dataclass(frozen=True)
 class RationalSeries:
     """Ratio of integer polynomials viewed as a formal power series.
 
@@ -107,29 +105,51 @@ class RationalSeries:
     divides by one factor at a time; left empty, it is the denominator
     alone.  Each factor is normalized to constant term +1 like the
     denominator, and the factors must then multiply to it.  Factors play
-    no part in equality or printing.
+    no part in equality, hashing or printing.  A `RationalSeries` is
+    immutable.
     """
 
+    __slots__ = ("num", "den", "factors")
     num: Poly
     den: Poly
-    factors: tuple[Poly, ...] = dataclasses.field(
-        default=(), compare=False, repr=False)
+    factors: tuple[Poly, ...]
 
-    def __post_init__(self):
-        c0 = self.den.constant_term()
+    def __init__(self, num: Poly, den: Poly, factors: tuple[Poly, ...] = ()):
+        c0 = den.constant_term()
         if c0 == 0:
             raise ValueError("denominator constant term must be nonzero")
         if abs(c0) != 1:
             raise ValueError(f"denominator constant term must be +-1, got {c0}")
         if c0 < 0:
-            object.__setattr__(self, "num", -self.num)
-            object.__setattr__(self, "den", -self.den)
+            num, den = -num, -den
         factors = tuple(-f if f.constant_term() < 0 else f
-                        for f in self.factors or (self.den,))
-        if math.prod(factors, start=Poly(1)) != self.den:
+                        for f in factors or (den,))
+        if math.prod(factors, start=Poly(1)) != den:
             raise ValueError("denominator factors must multiply to the "
                              "denominator")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
+        return RationalSeries, (self.num, self.den, self.factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalSeries(num={self.num!r}, den={self.den!r})"
 
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"

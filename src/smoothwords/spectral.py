@@ -11,7 +11,6 @@ integer and should fall back to the exact pipelines.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -36,19 +35,53 @@ def in_validated_window(n: int, k: int) -> bool:
     return 1 <= n <= _WINDOW_N_MAX and 1 <= k <= _WINDOW_K_MAX
 
 
-@dataclasses.dataclass(frozen=True)
 class Spectrum:
     """Eigendata of the k x k transfer matrix.
 
     angles[j-1] = j pi/(k+1); eigenvalues[j-1] = 1 + 2 cos(angle), strictly
     decreasing; cot2_weights[j-1] = cot^2(angle/2), the residue weights of
-    the smooth-word closed form.
+    the smooth-word closed form.  A `Spectrum` is immutable, and equal
+    eigendata compare and hash equal.
     """
 
+    __slots__ = ("k", "angles", "eigenvalues", "cot2_weights")
     k: int
     angles: tuple[float, ...]
     eigenvalues: tuple[float, ...]
     cot2_weights: tuple[float, ...]
+
+    def __init__(self, k: int, angles: tuple[float, ...],
+                 eigenvalues: tuple[float, ...],
+                 cot2_weights: tuple[float, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "cot2_weights", cot2_weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
+        return Spectrum, self._fields()
+
+    def _fields(self):
+        return self.k, self.angles, self.eigenvalues, self.cot2_weights
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Spectrum(k={self.k!r}, angles={self.angles!r}, "
+                f"eigenvalues={self.eigenvalues!r}, "
+                f"cot2_weights={self.cot2_weights!r})")
 
 
 # Built once per k, as `sn_trig` asks for it once per divisor; typed, so a
