@@ -9,24 +9,28 @@ Subcommands:
 * ``asymptotics``  -- leading-term estimates against exact values
 
 Counts are always printed as full decimal strings.  Exit status: 0 on
-success, 1 when ``check`` finds a disagreement, 2 on usage errors, on
-requests too large for memory or for an index and when stdout is closed
-before the output ends, 3 when a spectral request falls outside the
-validated precision window or does not round, or an ``asymptotics``
-estimate exceeds double range.
+success and after ``-h`` or ``--help``, 1 when ``check`` finds a
+disagreement, 2 on usage errors (an argv the command line cannot read, or
+a value out of range), on requests too large for memory or for an index
+and when stdout is closed before the output ends, 3 when a spectral
+request falls outside the validated precision window or does not round,
+or an ``asymptotics`` estimate exceeds double range.
 
-Subcommands return 0 or 1 and raise for everything else: `ValueError`,
+The argv is read against a grammar that `_build_parser` builds from the
+family, method and format registries, so every choice and every help
+text follows them.  Subcommands return 0 or 1 and raise for everything
+else: `ValueError` (the parser's too, naming the argument),
 `MemoryError`, `OverflowError` and `BrokenPipeError` for status 2,
 `PrecisionExhausted` for status 3.  `main` alone turns an exception into
 its status and one ``error:`` line on stderr.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
 import sys
+import types
 
 from . import genfunc, spectral, transfer, words
 from ._args import check_int
@@ -34,6 +38,9 @@ from ._args import check_int
 OK, CHECK_FAILED, USAGE_ERROR, PRECISION_EXHAUSTED = 0, 1, 2, 3
 
 _FORMATS = ("md", "csv", "jsonl")
+
+# The words that ask for help: `-h`, and `--help` or any prefix of it.
+_HELP = ("-h", "--h", "--he", "--hel", "--help")
 
 # Longest row `table` and `check` compute.  At 3^n a row this long holds
 # about 10^10 bits of counts, 2.4 GB as decimal text.  Turning a row into
@@ -108,26 +115,17 @@ def _having(stage: str) -> tuple[str, ...]:
     return tuple(f for f, names in _FAMILIES.items() if stage in names)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: types.SimpleNamespace) -> int:
+    """Print one count as a decimal string."""
     print(_METHODS[args.method](args.family, args.n, args.k))
     return OK
 
 
-def _merge(positional, flag, default, what: str):
-    if positional is None:
-        return default if flag is None else flag
-    if flag is not None:
-        raise ValueError(f"{what} given both positionally and as a flag")
-    return positional
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    family = args.family
-    k_min = _merge(args.k_min_pos, args.k_min_opt,
-                   1 if family == "sn" else 3, "k-min")
-    k_max = _merge(args.k_max_pos, args.k_max_opt, 7, "k-max")
-    n_max = _merge(args.n_max_pos, args.n_max_opt, 11, "n-max")
-    fmt = _merge(args.format_pos, args.format_opt, "md", "format")
+def _cmd_table(args: types.SimpleNamespace) -> int:
+    """Print counts for k = K-MIN..K-MAX (3..7, sn 1..7), n = 0..N-MAX (11)."""
+    family, k_max, n_max, fmt = (args.family, args.k_max, args.n_max,
+                                 args.format)
+    k_min = (1 if family == "sn" else 3) if args.k_min is None else args.k_min
     check_int("k-min", k_min, 1, k_max)
     check_int("k-max", k_max, k_min, k_min + _ALPHABETS_LIMIT - 1)
     check_int("n-max", n_max, 0, _N_MAX_LIMIT)
@@ -162,7 +160,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_gf(args: argparse.Namespace) -> int:
+def _cmd_gf(args: types.SimpleNamespace) -> int:
+    """Print a generating function and its first 12 coefficients."""
     check_int("alphabet size", args.k, 1, _GF_K_LIMIT)
     gf = _pipeline(args.family, "gf")(args.k)
     print(gf)
@@ -170,7 +169,8 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: types.SimpleNamespace) -> int:
+    """Cross-check all methods for n = 0..N-MAX (8) and k = 1..K-MAX (5)."""
     n_max, k_max = args.n_max, args.k_max
     check_int("n-max", n_max, 0, _N_MAX_LIMIT)
     check_int("k-max", k_max, 1, _ALPHABETS_LIMIT)
@@ -231,7 +231,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return CHECK_FAILED if mismatches else OK
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
+def _cmd_asymptotics(args: types.SimpleNamespace) -> int:
+    """Compare the leading-term estimate with the exact count."""
     family, k, n = args.family, args.k, args.n
     check_int("alphabet size", k, 1)
     if n is None and family != "proportion":
@@ -261,53 +262,110 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return OK
 
 
-@functools.cache  # parsing leaves the parser as it was; build it once
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="smoothwords",
-        description="Exact and spectral enumeration of smooth words, "
-                    "smooth cyclic words, and smooth necklaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
+@functools.cache  # parsing leaves the grammar as it was; build it once
+def _build_parser() -> dict:
+    """Each subcommand's function, whose docstring is its help line, and
+    its arguments, in the order its usage lists them.
 
-    p = sub.add_parser("count", help="print one count as a decimal string")
-    p.add_argument("family", choices=tuple(_FAMILIES))
-    p.add_argument("--n", type=int, required=True, help="word length")
-    p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.add_argument("--method", default="auto", choices=tuple(_METHODS))
-    p.set_defaults(func=_cmd_count)
+    An argument is (name, values, default).  A name that starts with "--"
+    is a flag, any other a positional; positionals are filled in order.
+    "values" is `int` or the tuple of the words accepted, and a default of
+    ... marks an argument that must be given.  A positional and a flag of
+    one name set one field, either way but not both.
+    """
+    table = (("k-min", int, None), ("k-max", int, 7), ("n-max", int, 11),
+             ("format", _FORMATS, "md"))
+    return {
+        "count": (_cmd_count, ("family", tuple(_FAMILIES), ...),
+                  ("--n", int, ...), ("--k", int, ...),
+                  ("--method", tuple(_METHODS), "auto")),
+        "table": (_cmd_table, ("family", (*_FAMILIES, "both"), ...), *table,
+                  *((f"--{name}", *rest) for name, *rest in table)),
+        "gf": (_cmd_gf, ("family", _having("gf"), ...), ("--k", int, ...)),
+        "check": (_cmd_check, ("--n-max", int, 8), ("--k-max", int, 5)),
+        "asymptotics": (_cmd_asymptotics,
+                        ("family", (*_having("leading"), "proportion"), ...),
+                        ("--k", int, ...), ("--n", int, None)),
+    }
 
-    p = sub.add_parser(
-        "table", help="print a grid of counts, rows per k, columns n=0..n-max")
-    p.add_argument("family", choices=(*_FAMILIES, "both"))
-    p.add_argument("k_min_pos", nargs="?", type=int, metavar="K_MIN")
-    p.add_argument("k_max_pos", nargs="?", type=int, metavar="K_MAX")
-    p.add_argument("n_max_pos", nargs="?", type=int, metavar="N_MAX")
-    p.add_argument("format_pos", nargs="?", choices=_FORMATS, metavar="FORMAT")
-    p.add_argument("--k-min", dest="k_min_opt", type=int)
-    p.add_argument("--k-max", dest="k_max_opt", type=int)
-    p.add_argument("--n-max", dest="n_max_opt", type=int)
-    p.add_argument("--format", dest="format_opt", choices=_FORMATS)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser(
-        "gf", help="print a generating function and its first 12 coefficients")
-    p.add_argument("family", choices=_having("gf"))
-    p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.set_defaults(func=_cmd_gf)
+def _usage(command: str) -> str:
+    func, *arguments = _build_parser()[command]
+    words = [f"smoothwords {command}"]
+    for name, values, default in arguments:
+        shown = (name.lstrip("-").upper() if values is int
+                 else "{" + ",".join(values) + "}")
+        if name.startswith("--"):
+            shown = f"{name} {shown}"
+        words.append(shown if default is ... else f"[{shown}]")
+    return " ".join(words) + f"\n    {func.__doc__}"
 
-    p = sub.add_parser("check", help="cross-method consistency sweep")
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.add_argument("--k-max", dest="k_max", type=int, default=5)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser(
-        "asymptotics", help="leading-term estimate vs the exact count")
-    p.add_argument("family", choices=(*_having("leading"), "proportion"))
-    p.add_argument("--k", type=int, required=True, help="alphabet size")
-    p.add_argument("--n", type=int, help="word length (optional for proportion)")
-    p.set_defaults(func=_cmd_asymptotics)
+def _read(name: str, values, word: str):
+    """``word`` as argument ``name`` takes it: an int or one of ``values``."""
+    if values is int:
+        try:
+            return int(word)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value {word!r}")
+    if word not in values:
+        raise ValueError(f"argument {name}: invalid choice {word!r} "
+                         f"(choose from {', '.join(values)})")
+    return word
 
-    return parser
+
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The subcommand's function and fields, or None once help is printed.
+
+    Flags may come before, between or after the positionals, as
+    ``--flag value`` or ``--flag=value`` and by any unique prefix of their
+    name, and the last of a repeated flag wins.  Raises `ValueError`,
+    naming the argument, for any argv the grammar does not accept.
+    """
+    grammar = _build_parser()
+    if not argv:
+        raise ValueError("argument command is required "
+                         f"(choose from {', '.join(grammar)})")
+    if argv[0] in _HELP:
+        print("usage: smoothwords COMMAND [ARGUMENTS]\n\nExact and spectral "
+              "counts of smooth words, smooth cyclic words and smooth\n"
+              "necklaces.  Commands:\n\n" + "\n".join(map(_usage, grammar)))
+        return None
+    func, *arguments = grammar[_read("command", tuple(grammar), argv[0])]
+    flags = {arg[0]: arg for arg in arguments if arg[0].startswith("--")}
+    positionals = [arg for arg in arguments if arg[0] not in flags]
+    fields, by_flag = {"func": func}, {}
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            print("usage: " + _usage(argv[0]))
+            return None
+        is_flag = word.startswith("--")
+        if is_flag:
+            word, has_value, value = word.partition("=")
+            names = [word] if word in flags else [
+                f for f in flags if f.startswith(word)]
+            if len(names) != 1 or word == "--":
+                raise ValueError(f"{'ambiguous' if names else 'unknown'} "
+                                 f"option {word}; choose from "
+                                 f"{', '.join(names or flags)}")
+            name, values, _ = flags[names[0]]
+            if not has_value and (value := next(words, None)) is None:
+                raise ValueError(f"argument {name}: expected a value")
+        elif positionals:
+            (name, values, _), value = positionals.pop(0), word
+        else:
+            raise ValueError(f"unrecognized argument {word!r}")
+        field = name.lstrip("-")
+        if by_flag.setdefault(field, is_flag) != is_flag:
+            raise ValueError(f"{field} given both positionally and as a flag")
+        fields[field.replace("-", "_")] = _read(name, values, value)
+    for name, _, default in arguments:
+        field = name.lstrip("-").replace("-", "_")
+        if default is ... and field not in fields:
+            raise ValueError(f"argument {name} is required")
+        fields.setdefault(field, default)
+    return types.SimpleNamespace(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,13 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     # int-to-str guard (absent before Python 3.10.7) so they print in full.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return OK if exc.code in (0, None) else USAGE_ERROR
-    try:
-        status = args.func(args)
+        args = _parse(argv)
+        status = OK if args is None else args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return status
     except BrokenPipeError:
@@ -335,9 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         status, message = USAGE_ERROR, str(exc)
     except MemoryError:
         status, message = (USAGE_ERROR,
-                           f"{args.command} request too large to hold in memory")
+                           f"{argv[0]} request too large to hold in memory")
     except OverflowError:  # e.g. a row of 10**19 entries cannot be indexed
-        status, message = USAGE_ERROR, f"{args.command} request too large"
+        status, message = USAGE_ERROR, f"{argv[0]} request too large"
     print(f"error: {message}", file=sys.stderr)
     return status
 

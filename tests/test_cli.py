@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-status contract."""
 import functools
 import json
+import re
 import subprocess
 import sys
 import time
@@ -419,6 +420,16 @@ ERROR_PATHS = [
     (2, "gf sw --k 1001"),  # past the gf alphabet limit: refused, not built
     (2, "asymptotics sw --k 0 --n 5"),
     (3, "asymptotics sw --k 3 --n 2000"),  # beyond double range
+    # Argv the command line cannot read.
+    (2, "frob"),  # no such command
+    (2, ""),  # no command at all
+    (2, "count nope --n 3 --k 3"),  # no such family
+    (2, "count sw --k 3"),  # a required flag left out
+    (2, "count sw --n x --k 3"),  # not an int
+    (2, "count sw --n 3 --k 3 --bogus"),  # no such flag
+    (2, "count sw --k 3 --n"),  # a flag with no value
+    (2, "table sw --k 3"),  # a prefix of --k-min and --k-max
+    (2, "table sw 1 2 3 md extra"),  # one positional too many
 ]
 
 
@@ -429,6 +440,64 @@ def test_error_paths_exit_through_main(capsys, status, argv):
     assert (code, out) == (status, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Each spelling the command line accepts, beside its canonical form: both
+# must print the same bytes and exit with the same status.
+SPELLINGS = [
+    # The positional and flag forms of `table`, in every format.
+    *((f"table both 3 5 9 {fmt}",
+       f"table both --k-min 3 --k-max 5 --n-max 9 --format {fmt}")
+      for fmt in cli._FORMATS),
+    ("table sn --format csv --n-max 9 --k-max 4 --k-min 2",
+     "table sn 2 4 9 csv"),
+    ("count sw --n 11 --k 3", "count sw --n 11 --k 3 --method auto"),
+    ("count sw --n=11 --k 3", "count sw --n 11 --k 3"),
+    ("count sw --n 11 --k 3 --meth gf", "count sw --n 11 --k 3 --method gf"),
+    ("count sw --n 11 --k 3 --method=gf", "count sw --n 11 --k 3 --method gf"),
+    ("check --n-m 5 --k-m 2", "check --n-max 5 --k-max 2"),
+    ("count --n 11 --k 3 sw", "count sw --n 11 --k 3"),
+    ("count sw --n 4 --k 3 --n 11", "count sw --n 11 --k 3"),
+    ("table sw 2 4 6 --format md --format csv", "table sw 2 4 6 csv"),
+    # A value may start with "-": -1 is a length, refused by its range check.
+    ("count sw --n -1 --k 3", "count sw --n=-1 --k 3"),
+]
+
+
+@pytest.mark.parametrize("spelling, canonical", SPELLINGS,
+                         ids=[spelling for spelling, _ in SPELLINGS])
+def test_spellings_print_as_their_canonical_form(capsys, spelling,
+                                                 canonical):
+    got = run_cli(capsys, *spelling.split())
+    assert got == run_cli(capsys, *canonical.split())
+    assert (got[0] == 0 and got[1]) or got == (
+        2, "", "error: word length must be at least 0, got -1\n")
+
+
+# The registry names each command accepts as an argument's value.
+ACCEPTED = {
+    "count": (*cli._FAMILIES, *cli._METHODS),
+    "table": (*cli._FAMILIES, "both", *cli._FORMATS),
+    "gf": cli._having("gf"),
+    "check": (),
+    "asymptotics": (*cli._having("leading"), "proportion"),
+}
+
+
+@pytest.mark.parametrize("argv", ["--help", "-h", *(
+    f"{command} {word}" for command in ACCEPTED for word in ("--help", "-h"))])
+def test_help_lists_the_registry(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: smoothwords ")
+    # Help shows each choice as {a,b,...}; the top-level help shows every
+    # command's usage.
+    listed = {name for group in re.findall(r"\{([^}]*)\}", out)
+              for name in group.split(",")}
+    commands = [argv.split()[0]] if " " in argv else list(ACCEPTED)
+    assert all(f"smoothwords {command} " in out for command in commands)
+    assert listed == {name for command in commands
+                      for name in ACCEPTED[command]}
 
 
 class TestBinary:

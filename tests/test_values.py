@@ -93,10 +93,13 @@ def test_spectrum_is_cached():
 
 def test_cli_import_loads_no_introspection_modules():
     # `dataclasses` would pull in `inspect`, `ast` and `dis`: about 0.9 MiB
-    # and 10 ms in every process that answers one request.  A fresh
-    # interpreter, so that what pytest has imported does not count.
+    # and 10 ms in every process that answers one request.  `argparse`
+    # and the `gettext` and `locale` it brings cost about 2 ms to import
+    # and 2 ms to build a parser.  A fresh interpreter, so that what
+    # pytest has imported does not count.
     code = ("import sys; before = set(sys.modules); import smoothwords.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+            "'argparse', 'gettext', 'locale'} "
             "& (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
