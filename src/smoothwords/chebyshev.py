@@ -23,10 +23,10 @@ import functools
 import itertools
 import math
 
-from ._args import check_int
+from ._args import Value, check_int
 
 
-class Poly:
+class Poly(Value):
     """Dense integer-coefficient polynomial.
 
     Coefficients are ints (not bools), else `ValueError`.  Trailing zero
@@ -43,7 +43,7 @@ class Poly:
     Poly(1, 0, -1)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = _compared = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, *coeffs: int):
@@ -55,22 +55,8 @@ class Poly:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
+    def __reduce__(self):  # __init__ takes *coeffs: spread the one slot
         return Poly, self.coeffs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:

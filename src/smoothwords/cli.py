@@ -116,13 +116,11 @@ def _having(stage: str) -> tuple[str, ...]:
 
 
 def _cmd_count(args: types.SimpleNamespace) -> int:
-    """Print one count as a decimal string."""
     print(_METHODS[args.method](args.family, args.n, args.k))
     return OK
 
 
 def _cmd_table(args: types.SimpleNamespace) -> int:
-    """Print counts for k = K-MIN..K-MAX (3..7, sn 1..7), n = 0..N-MAX (11)."""
     family, k_max, n_max, fmt = (args.family, args.k_max, args.n_max,
                                  args.format)
     k_min = (1 if family == "sn" else 3) if args.k_min is None else args.k_min
@@ -161,7 +159,6 @@ def _cmd_table(args: types.SimpleNamespace) -> int:
 
 
 def _cmd_gf(args: types.SimpleNamespace) -> int:
-    """Print a generating function and its first 12 coefficients."""
     check_int("alphabet size", args.k, 1, _GF_K_LIMIT)
     gf = _pipeline(args.family, "gf")(args.k)
     print(gf)
@@ -170,7 +167,6 @@ def _cmd_gf(args: types.SimpleNamespace) -> int:
 
 
 def _cmd_check(args: types.SimpleNamespace) -> int:
-    """Cross-check all methods for n = 0..N-MAX (8) and k = 1..K-MAX (5)."""
     n_max, k_max = args.n_max, args.k_max
     check_int("n-max", n_max, 0, _N_MAX_LIMIT)
     check_int("k-max", k_max, 1, _ALPHABETS_LIMIT)
@@ -232,7 +228,6 @@ def _cmd_check(args: types.SimpleNamespace) -> int:
 
 
 def _cmd_asymptotics(args: types.SimpleNamespace) -> int:
-    """Compare the leading-term estimate with the exact count."""
     family, k, n = args.family, args.k, args.n
     check_int("alphabet size", k, 1)
     if n is None and family != "proportion":
@@ -264,8 +259,8 @@ def _cmd_asymptotics(args: types.SimpleNamespace) -> int:
 
 @functools.cache  # parsing leaves the grammar as it was; build it once
 def _build_parser() -> dict:
-    """Each subcommand's function, whose docstring is its help line, and
-    its arguments, in the order its usage lists them.
+    """Each subcommand's help line, its function and its arguments, in the
+    order its usage lists them.
 
     An argument is (name, values, default).  A name that starts with "--"
     is a flag, any other a positional; positionals are filled in order.
@@ -276,21 +271,27 @@ def _build_parser() -> dict:
     table = (("k-min", int, None), ("k-max", int, 7), ("n-max", int, 11),
              ("format", _FORMATS, "md"))
     return {
-        "count": (_cmd_count, ("family", tuple(_FAMILIES), ...),
-                  ("--n", int, ...), ("--k", int, ...),
-                  ("--method", tuple(_METHODS), "auto")),
-        "table": (_cmd_table, ("family", (*_FAMILIES, "both"), ...), *table,
+        "count": ("Print one count as a decimal string.", _cmd_count,
+                  ("family", tuple(_FAMILIES), ...), ("--n", int, ...),
+                  ("--k", int, ...), ("--method", tuple(_METHODS), "auto")),
+        "table": ("Print counts for k = K-MIN..K-MAX (3..7, sn 1..7), n = "
+                  "0..N-MAX (11).", _cmd_table,
+                  ("family", (*_FAMILIES, "both"), ...), *table,
                   *((f"--{name}", *rest) for name, *rest in table)),
-        "gf": (_cmd_gf, ("family", _having("gf"), ...), ("--k", int, ...)),
-        "check": (_cmd_check, ("--n-max", int, 8), ("--k-max", int, 5)),
-        "asymptotics": (_cmd_asymptotics,
+        "gf": ("Print a generating function and its first 12 coefficients.",
+               _cmd_gf, ("family", _having("gf"), ...), ("--k", int, ...)),
+        "check": ("Cross-check all methods for n = 0..N-MAX (8) and k = "
+                  "1..K-MAX (5).", _cmd_check,
+                  ("--n-max", int, 8), ("--k-max", int, 5)),
+        "asymptotics": ("Compare the leading-term estimate with the exact "
+                        "count.", _cmd_asymptotics,
                         ("family", (*_having("leading"), "proportion"), ...),
                         ("--k", int, ...), ("--n", int, None)),
     }
 
 
 def _usage(command: str) -> str:
-    func, *arguments = _build_parser()[command]
+    help_line, _, *arguments = _build_parser()[command]
     words = [f"smoothwords {command}"]
     for name, values, default in arguments:
         shown = (name.lstrip("-").upper() if values is int
@@ -298,7 +299,7 @@ def _usage(command: str) -> str:
         if name.startswith("--"):
             shown = f"{name} {shown}"
         words.append(shown if default is ... else f"[{shown}]")
-    return " ".join(words) + f"\n    {func.__doc__}"
+    return " ".join(words) + f"\n    {help_line}"
 
 
 def _read(name: str, values, word: str):
@@ -331,7 +332,7 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
               "counts of smooth words, smooth cyclic words and smooth\n"
               "necklaces.  Commands:\n\n" + "\n".join(map(_usage, grammar)))
         return None
-    func, *arguments = grammar[_read("command", tuple(grammar), argv[0])]
+    _, func, *arguments = grammar[_read("command", tuple(grammar), argv[0])]
     flags = {arg[0]: arg for arg in arguments if arg[0].startswith("--")}
     positionals = [arg for arg in arguments if arg[0] not in flags]
     fields, by_flag = {"func": func}, {}
@@ -343,9 +344,9 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
         is_flag = word.startswith("--")
         if is_flag:
             word, has_value, value = word.partition("=")
-            names = [word] if word in flags else [
-                f for f in flags if f.startswith(word)]
-            if len(names) != 1 or word == "--":
+            names = [word] if word in flags else [  # "--" names no flag
+                f for f in flags if word != "--" and f.startswith(word)]
+            if len(names) != 1:
                 raise ValueError(f"{'ambiguous' if names else 'unknown'} "
                                  f"option {word}; choose from "
                                  f"{', '.join(names or flags)}")

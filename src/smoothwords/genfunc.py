@@ -78,7 +78,7 @@ import math
 import operator
 import sys
 
-from ._args import check_int
+from ._args import Value, check_int
 from ._jump import _term
 from ._rotations import necklaces
 from .chebyshev import Poly, theta_parts, theta_poly
@@ -94,7 +94,7 @@ _ONE_PLUS_X = Poly(1, 1)
 _POWER_SUMS_OVER_K = 45
 
 
-class RationalSeries:
+class RationalSeries(Value):
     """Ratio of integer polynomials viewed as a formal power series.
 
     The denominator is normalized to constant term +1 (sign flipped if
@@ -110,6 +110,7 @@ class RationalSeries:
     """
 
     __slots__ = ("num", "den", "factors")
+    _compared = ("num", "den")
     num: Poly
     den: Poly
     factors: tuple[Poly, ...]
@@ -127,29 +128,7 @@ class RationalSeries:
         if math.prod(factors, start=Poly(1)) != den:
             raise ValueError("denominator factors must multiply to the "
                              "denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
-        return RationalSeries, (self.num, self.den, self.factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalSeries(num={self.num!r}, den={self.den!r})"
+        self._set(num, den, factors)
 
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"

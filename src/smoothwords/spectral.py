@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._args import check_int
+from ._args import Value, check_int
 from ._rotations import rotation_sum
 
 # Largest (n, k) for which double-precision eigenvalue sums round reliably,
@@ -35,7 +35,7 @@ def in_validated_window(n: int, k: int) -> bool:
     return 1 <= n <= _WINDOW_N_MAX and 1 <= k <= _WINDOW_K_MAX
 
 
-class Spectrum:
+class Spectrum(Value):
     """Eigendata of the k x k transfer matrix.
 
     angles[j-1] = j pi/(k+1); eigenvalues[j-1] = 1 + 2 cos(angle), strictly
@@ -44,7 +44,7 @@ class Spectrum:
     eigendata compare and hash equal.
     """
 
-    __slots__ = ("k", "angles", "eigenvalues", "cot2_weights")
+    __slots__ = _compared = ("k", "angles", "eigenvalues", "cot2_weights")
     k: int
     angles: tuple[float, ...]
     eigenvalues: tuple[float, ...]
@@ -53,35 +53,7 @@ class Spectrum:
     def __init__(self, k: int, angles: tuple[float, ...],
                  eigenvalues: tuple[float, ...],
                  cot2_weights: tuple[float, ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "cot2_weights", cot2_weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # rebuild by __init__: restoring a slot would raise
-        return Spectrum, self._fields()
-
-    def _fields(self):
-        return self.k, self.angles, self.eigenvalues, self.cot2_weights
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"Spectrum(k={self.k!r}, angles={self.angles!r}, "
-                f"eigenvalues={self.eigenvalues!r}, "
-                f"cot2_weights={self.cot2_weights!r})")
+        self._set(k, angles, eigenvalues, cot2_weights)
 
 
 # Built once per k, as `sn_trig` asks for it once per divisor; typed, so a

@@ -430,6 +430,7 @@ ERROR_PATHS = [
     (2, "count sw --k 3 --n"),  # a flag with no value
     (2, "table sw --k 3"),  # a prefix of --k-min and --k-max
     (2, "table sw 1 2 3 md extra"),  # one positional too many
+    (2, "count sw --n 3 --k 3 --"),  # a lone "--" is no flag
 ]
 
 
@@ -440,6 +441,22 @@ def test_error_paths_exit_through_main(capsys, status, argv):
     assert (code, out) == (status, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+DOUBLE_DASHES = [
+    ("count sw --n 3 --k 3 --", "--n, --k, --method"),
+    ("gf sw --k 3 --", "--k"),  # the prefix of one flag only
+    ("gf sw --=3", "--k"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", DOUBLE_DASHES,
+                         ids=[argv for argv, _ in DOUBLE_DASHES])
+def test_lone_double_dash_is_an_unknown_option(capsys, argv, flags):
+    # "--" is a prefix of every flag, but it names none of them.
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown option --; choose from {flags}\n"
 
 
 # Each spelling the command line accepts, beside its canonical form: both
@@ -513,6 +530,19 @@ class TestBinary:
         usage = subprocess.run(env_cmd + ["gf", "sn", "--k", "2"],
                                capture_output=True, text=True)
         assert usage.returncode == 2
+
+    def test_help_survives_docstring_stripping(self):
+        # `python -OO` drops docstrings; the help lines live in the grammar.
+        helps = {command: entry[0]
+                 for command, entry in cli._build_parser().items()}
+        for argv, commands in (("--help", helps), ("count --help", ["count"])):
+            out = subprocess.run(
+                [sys.executable, "-OO", "-m", "smoothwords", *argv.split()],
+                capture_output=True, text=True)
+            assert (out.returncode, out.stderr) == (0, "")
+            lines = [line.strip() for line in out.stdout.splitlines()]
+            assert all(helps[command] in lines for command in commands)
+            assert "None" not in lines
 
     def test_closed_stdout_exits_2(self):
         # A reader that stops after 100 bytes of a 1.5 MB table closes the

@@ -1,10 +1,11 @@
 """The value contract of `Poly`, `RationalSeries` and `Spectrum`, and the
 import footprint of the command line.
 
-The three classes are immutable values: equal values compare and hash
-equal, no attribute can be set or deleted, and each prints as its
-constructor call.  A `RationalSeries` keeps its denominator ``factors``
-out of equality, hashing and printing.
+The three classes are immutable values, all built on the one base
+`_args.Value`: equal values compare and hash equal, no attribute can be
+set or deleted, pickle (at every protocol) and copy give equal values, and
+each prints as its constructor call.  A `RationalSeries` keeps its
+denominator ``factors`` out of equality, hashing and printing.
 """
 import copy
 import pickle
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from smoothwords import Poly, RationalSeries, Spectrum, spectrum, sw_gf
+from smoothwords import Poly, RationalSeries, Spectrum, _args, spectrum, sw_gf
 
 
 def rebuilt_spectrum(k):
@@ -50,12 +51,24 @@ def test_equal_values_compare_and_hash_equal(name):
     assert len({value, same, other}) == 2
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 @pytest.mark.parametrize("name", VALUES)
-def test_pickle_and_copy_give_equal_values(name):
+def test_pickle_and_copy_give_equal_values(name, protocol):
     value = VALUES[name][0]
-    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+    for twin in (pickle.loads(pickle.dumps(value, protocol)), copy.copy(value),
                  copy.deepcopy(value)):
         assert twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_share_one_base(name):
+    # The contract is written once, in `_args.Value`: a value class names
+    # the slots it compares and inherits the rest.
+    cls = type(VALUES[name][0])
+    assert issubclass(cls, _args.Value)
+    assert set(cls._compared) <= set(cls.__slots__) == set(FIELDS[name])
+    for method in ("__eq__", "__hash__", "__setattr__", "__delattr__"):
+        assert getattr(cls, method) is getattr(_args.Value, method)
 
 
 def test_rational_series_ignores_factors():
